@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .lora import RankPlan
 from .model import ModelConfig
 from .pruning import PrunePlan
+from .schema import Record
 
 # reported reference figures for the unpruned/pruned bert-base setup
 REPORTED_FULL_PARAMS = "109.48 M"
@@ -73,7 +74,7 @@ def _normalize_ranks(config: ModelConfig, rank_plan):
 
 
 @dataclass
-class ParamReport:
+class ParamReport(Record):
     total_params: int
     trainable_params: int
     trainable_fraction: float
@@ -81,17 +82,6 @@ class ParamReport:
     forward_flops_per_token: int
     weight_bytes_f64: int
     weight_bytes_f32: int
-
-    def to_dict(self) -> dict:
-        return {
-            "total_params": self.total_params,
-            "trainable_params": self.trainable_params,
-            "trainable_fraction": self.trainable_fraction,
-            "components": self.components,
-            "forward_flops_per_token": self.forward_flops_per_token,
-            "weight_bytes_f64": self.weight_bytes_f64,
-            "weight_bytes_f32": self.weight_bytes_f32,
-        }
 
 
 def count_params(

@@ -33,6 +33,10 @@ def no_grad():
         _grad_enabled = prev
 
 
+class NonFiniteError(ValueError):
+    """A tensor value, given or computed, is NaN or infinite."""
+
+
 class MacCounter:
     """Accumulated multiply-accumulate count of every matmul executed."""
 
@@ -64,7 +68,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor rejects non-finite values (NaN/Inf)")
+            raise NonFiniteError("tensor rejects non-finite values (NaN/Inf)")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None  # same-shape ndarray once populated
@@ -95,7 +99,7 @@ def _as_tensor(x) -> Tensor:
 def _from_op(data: np.ndarray, parents, backward_fn) -> Tensor:
     """Wrap an op result; record the closure only if gradients can flow."""
     if not np.all(np.isfinite(data)):
-        raise ValueError("tensor rejects non-finite values (NaN/Inf)")
+        raise NonFiniteError("tensor rejects non-finite values (NaN/Inf)")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

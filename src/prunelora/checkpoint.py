@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,22 +59,48 @@ def write_checkpoint(path, header: dict, named_arrays) -> None:
 
 
 def read_checkpoint(path):
-    """Return (manifest, {name: ndarray})."""
+    """Return (manifest, {name: ndarray}).
+
+    The header, the manifest and every entry's offset and size are checked
+    against the file before any slice, so a cut or damaged file raises
+    CheckpointError instead of a struct, JSON or reshape error.
+    """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", data[4:8])
+    if len(data) < 16:
+        raise CheckpointError(f"{path}: truncated header ({len(data)} bytes)")
+    version, mlen = struct.unpack("<IQ", data[4:16])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (mlen,) = struct.unpack("<Q", data[8:16])
-    manifest = json.loads(data[16 : 16 + mlen].decode("utf-8"))
     base = 16 + mlen
+    if base > len(data):
+        raise CheckpointError(
+            f"{path}: truncated manifest ({mlen} bytes declared, "
+            f"{len(data) - 16} present)"
+        )
+    try:
+        manifest = json.loads(data[16:base].decode("utf-8"))
+        entries = [(str(e["name"]), list(e["shape"]), e["offset"], e["size"])
+                   for e in manifest["tensors"]]
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: manifest is not JSON: {e}") from e
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed manifest: {e!r}") from e
     arrays = {}
-    for entry in manifest["tensors"]:
-        start = base + entry["offset"]
-        raw = data[start : start + entry["size"]]
+    for name, shape, offset, size in entries:
+        if not all(isinstance(v, int) and v >= 0 for v in (offset, size, *shape)):
+            raise CheckpointError(f"{path}: {name}: bad shape, offset or size")
+        if size != 8 * math.prod(shape):
+            raise CheckpointError(
+                f"{path}: {name}: size {size} != 8 x prod(shape {shape})"
+            )
+        start = base + offset
+        if start + size > len(data):
+            raise CheckpointError(f"{path}: {name}: payload truncated")
+        raw = data[start : start + size]
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
+        arrays[name] = arr.reshape(shape)
     return manifest, arrays
 
 
@@ -131,15 +158,24 @@ def save_model(path, weights, merged_adapters: bool = False) -> None:
 
 def load_model(path):
     """Load a model checkpoint; returns (TransformerWeights, manifest)."""
-    from .model import Block, ModelConfig, TransformerWeights
+    from .model import ModelConfig, TransformerWeights
 
     manifest, arrays = read_checkpoint(path)
     if manifest.get("kind") != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint")
-    config = ModelConfig.from_dict(manifest["config"])
-    head_index_map = [list(map(int, row)) for row in manifest["head_index_map"]]
+    try:
+        config = ModelConfig.from_dict(manifest["config"], "config")
+        head_index_map = [list(map(int, row))
+                          for row in manifest["head_index_map"]]
+    except KeyError as e:
+        raise CheckpointError(f"{path}: manifest has no {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad model manifest: {e}") from e
     if len(head_index_map) != config.num_layers:
         raise CheckpointError(f"{path}: head_index_map has wrong number of blocks")
+    for row in head_index_map:
+        if row != sorted(set(row)) or not set(row) <= set(range(config.num_heads)):
+            raise CheckpointError(f"{path}: bad head_index_map row {row}")
 
     shapes = expected_model_shapes(config, head_index_map)
     if set(arrays) != set(shapes):
@@ -153,30 +189,5 @@ def load_model(path):
             raise CheckpointError(
                 f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
             )
-
-    def t(name):
-        return Tensor(arrays[name])
-
-    blocks = []
-    for l in range(config.num_layers):
-        blocks.append(Block(**{
-            part: t(f"block{l}.{part}")
-            for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                         "w_up", "b_up", "w_down", "b_down",
-                         "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-        }))
-    weights = TransformerWeights(
-        config=config,
-        tok_emb=t("embeddings.token"),
-        pos_emb=t("embeddings.position"),
-        type_emb=t("embeddings.type"),
-        emb_ln_gamma=t("embeddings.ln_gamma"),
-        emb_ln_beta=t("embeddings.ln_beta"),
-        blocks=blocks,
-        pooler_w=t("pooler.w"),
-        pooler_b=t("pooler.b"),
-        classifier_w=t("classifier.w") if config.num_classes > 0 else None,
-        classifier_b=t("classifier.b") if config.num_classes > 0 else None,
-        head_index_map=head_index_map,
-    )
-    return weights, manifest
+    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
+    return TransformerWeights.from_named(config, tensors, head_index_map), manifest

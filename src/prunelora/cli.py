@@ -1,8 +1,30 @@
 """Command-line surface: importance | prune | train | merge | eval | report.
 
-One flat JSON config file drives every command; --seed and --out override
-its seed and output directory. All outputs are deterministic functions of
-the config (timing sidecars excepted, and marked as such by filename).
+Every command reads one JSON run config; --seed and --out override its
+seed and output directory. The config is an object with these keys:
+
+  seed        integer, default 0
+  out_dir     output directory when --out is not given
+  model       ModelConfig fields: num_layers, num_heads, hidden, ffn_dim,
+              vocab_size, max_positions, type_vocab, num_classes,
+              layernorm_eps, init_std; and "preset" ("toy", the default,
+              or "reference"), whose values the other keys override. A
+              bare string is a preset name.
+  task        SyntheticTaskSpec fields: kind, seq_len, train_size,
+              eval_size, vocab_size, num_classes, seed (the last three
+              default to the model's and the run's)
+  tsv         train, eval: paths of label<TAB>text files, used when there
+              is no task section
+  importance  sample_size, batch_size, epsilon
+  prune       keep_count
+  rank        n_high, rank_high, rank_low
+  train       regime, epochs, learning_rate, weight_decay, batch_size,
+              eval_every, seed (default: the run seed)
+
+Any other key, a key in the wrong section, a section that is not an
+object or a value of the wrong type is a ConfigError, and the command
+exits with status 2. All outputs are deterministic functions of the config
+(timing sidecars excepted, and marked as such by filename).
 """
 
 from __future__ import annotations
@@ -17,16 +39,13 @@ from pathlib import Path
 from . import accounting, checkpoint, importance, lora, pruning, training
 from .data import SyntheticTaskSpec, generate, ingest_tsv, save_vocab
 from .model import ModelConfig, init_weights
+from .schema import ConfigError, field_types, parse_section, write_json
 from .training import TrainConfig
 
 MODEL_PRESETS = {
-    "toy": ModelConfig.toy,
-    "reference": ModelConfig.reference,
+    "toy": {},
+    "reference": ModelConfig.reference().to_dict(),
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -34,31 +53,51 @@ class RunConfig:
     seed: int
     model: ModelConfig
     task: SyntheticTaskSpec | None
-    tsv_train: str | None
-    tsv_eval: str | None
-    importance_sample_size: int
-    importance_batch_size: int
-    importance_epsilon: float
-    keep_count: int | None
-    n_high: int
-    rank_high: int
-    rank_low: int
-    train: TrainConfig
-    out_dir: str | None
+    train: TrainConfig  # also holds the importance, prune and rank knobs
+    importance_batch_size: int = 32
+    tsv_train: str | None = None
+    tsv_eval: str | None = None
+    out_dir: str | None = None
 
 
-def _model_from_config(raw: dict | str | None) -> ModelConfig:
-    if raw is None:
-        return ModelConfig.toy()
+# The one owner of every key in the knob sections: section -> {key:
+# (owner, field)}, where owner "train" is TrainConfig and "run" RunConfig.
+# The train section takes every TrainConfig field no other section claims.
+KNOB_SECTIONS = {
+    "importance": {"sample_size": ("train", "importance_sample_size"),
+                   "batch_size": ("run", "importance_batch_size"),
+                   "epsilon": ("train", "importance_epsilon")},
+    "prune": {"keep_count": ("train", "keep_count")},
+    "rank": {key: ("train", key) for key in ("n_high", "rank_high", "rank_low")},
+    "tsv": {"train": ("run", "tsv_train"), "eval": ("run", "tsv_eval")},
+}
+_MOVED = {field for keys in KNOB_SECTIONS.values() for _, field in keys.values()}
+KNOB_SECTIONS["train"] = {
+    name: ("train", name) for name in field_types(TrainConfig) if name not in _MOVED
+}
+
+_OWNER_TYPES = {"run": field_types(RunConfig), "train": field_types(TrainConfig)}
+# section -> {key: annotation}, the schema every section is checked against
+SECTION_TYPES = {
+    "model": {**field_types(ModelConfig), "preset": "str"},
+    "task": field_types(SyntheticTaskSpec),
+    **{section: {key: _OWNER_TYPES[owner][field]
+                 for key, (owner, field) in keys.items()}
+       for section, keys in KNOB_SECTIONS.items()},
+}
+TOP_LEVEL_TYPES = {"seed": "int", "out_dir": "str",
+                   **{section: "section" for section in SECTION_TYPES}}
+
+
+def _model_from_config(raw) -> ModelConfig:
     if isinstance(raw, str):
         raw = {"preset": raw}
-    raw = dict(raw)
-    preset = raw.pop("preset", None)
-    if preset is not None:
-        if preset not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model preset {preset!r}")
-        return MODEL_PRESETS[preset](**raw)
-    return ModelConfig(**raw)
+    raw = parse_section(raw, "model", SECTION_TYPES["model"])
+    preset = raw.pop("preset", "toy")
+    if preset not in MODEL_PRESETS:
+        raise ConfigError(f"unknown model preset {preset!r}, "
+                          f"want one of {sorted(MODEL_PRESETS)}")
+    return ModelConfig.from_dict({**MODEL_PRESETS[preset], **raw}, "model")
 
 
 def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
@@ -67,67 +106,39 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    raw = parse_section(raw, "", TOP_LEVEL_TYPES)
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
     model = _model_from_config(raw.get("model"))
 
+    owners = {"run": {"out_dir": out_override or raw.get("out_dir")},
+              "train": {"seed": seed}}
+    for section, keys in KNOB_SECTIONS.items():
+        values = parse_section(raw.get(section), section, SECTION_TYPES[section])
+        for key, value in values.items():
+            owner, field = keys[key]
+            owners[owner][field] = value
+
     task = None
-    tsv_train = tsv_eval = None
-    if "task" in raw and raw["task"] is not None:
-        tdict = dict(raw["task"])
+    if raw.get("task") is not None:
+        tdict = parse_section(raw["task"], "task", SECTION_TYPES["task"])
         tdict.setdefault("seed", seed)
         tdict.setdefault("vocab_size", model.vocab_size)
         tdict.setdefault("num_classes", model.num_classes)
-        task = SyntheticTaskSpec(**tdict)
+        task = SyntheticTaskSpec.from_dict(tdict, "task")
         if task.vocab_size > model.vocab_size:
             raise ConfigError("task vocab_size exceeds model vocab_size")
-    elif "tsv" in raw and raw["tsv"] is not None:
-        tsv_train = raw["tsv"].get("train")
-        tsv_eval = raw["tsv"].get("eval")
-        if not tsv_train or not tsv_eval:
+
+    rc = RunConfig(seed=seed, model=model, task=task,
+                   train=TrainConfig.from_dict(owners["train"], "train"),
+                   **owners["run"])
+    # data-less configs are fine for report/prune/merge
+    if task is None and raw.get("tsv") is not None:
+        if not rc.tsv_train or not rc.tsv_eval:
             raise ConfigError("tsv config needs both 'train' and 'eval' paths")
-        for p in (tsv_train, tsv_eval):
+        for p in (rc.tsv_train, rc.tsv_eval):
             if not Path(p).exists():
                 raise ConfigError(f"tsv file does not exist: {p}")
-    # data-less configs are fine for report/prune/merge
-
-    imp = raw.get("importance", {})
-    prune_raw = raw.get("prune", {})
-    rank = raw.get("rank", {})
-    tr = dict(raw.get("train", {}))
-    tr.setdefault("seed", seed)
-    # prune/rank/importance knobs live in their own sections
-    for key in ("keep_count", "n_high", "rank_high", "rank_low",
-                "importance_sample_size", "importance_epsilon"):
-        tr.pop(key, None)
-    keep_count = prune_raw.get("keep_count")
-    train_cfg = TrainConfig(
-        keep_count=keep_count,
-        n_high=int(rank.get("n_high", 4)),
-        rank_high=int(rank.get("rank_high", 8)),
-        rank_low=int(rank.get("rank_low", 4)),
-        importance_sample_size=int(
-            imp.get("sample_size", importance.DEFAULT_SAMPLE_SIZE)
-        ),
-        importance_epsilon=float(imp.get("epsilon", importance.DEFAULT_EPSILON)),
-        **tr,
-    )
-    return RunConfig(
-        seed=seed,
-        model=model,
-        task=task,
-        tsv_train=tsv_train,
-        tsv_eval=tsv_eval,
-        importance_sample_size=train_cfg.importance_sample_size,
-        importance_batch_size=int(imp.get("batch_size", 32)),
-        importance_epsilon=train_cfg.importance_epsilon,
-        keep_count=keep_count,
-        n_high=train_cfg.n_high,
-        rank_high=train_cfg.rank_high,
-        rank_low=train_cfg.rank_low,
-        train=train_cfg,
-        out_dir=out_override or raw.get("out_dir"),
-    )
+    return rc
 
 
 def load_datasets(rc: RunConfig, out_dir: Path | None = None):
@@ -148,12 +159,6 @@ def load_datasets(rc: RunConfig, out_dir: Path | None = None):
     return train, eval_
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 def _outdir(args, rc: RunConfig | None = None) -> Path:
     out = args.out or (rc.out_dir if rc else None)
     if not out:
@@ -161,6 +166,17 @@ def _outdir(args, rc: RunConfig | None = None) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write_importance_meta(out: Path, imap, **extra) -> None:
+    write_json(out / "importance_meta.json", {
+        "digest": imap.digest(),
+        "token_count": imap.token_count,
+        "sample_size": imap.sample_size,
+        "epsilon": imap.epsilon,
+        "shape": list(imap.shape),
+        **extra,
+    })
 
 
 def _load_model_checkpoint(path):
@@ -183,24 +199,17 @@ def cmd_importance(args) -> int:
         checkpoint.save_model(ckpt_path, weights)
         model_digest = checkpoint.file_digest(ckpt_path)
     train_data, _ = load_datasets(rc, out)
-    sample = train_data.slice(0, min(rc.importance_sample_size, train_data.size))
+    sample = train_data.slice(0, min(rc.train.importance_sample_size, train_data.size))
 
     imap = importance.estimate_importance(
         weights, sample,
         batch_size=rc.importance_batch_size,
-        epsilon=rc.importance_epsilon,
+        epsilon=rc.train.importance_epsilon,
     )
     importance.export_importance(imap, out / "importance.csv", out / "importance.ppm")
     with open(out / "importance_raw.csv", "w", encoding="utf-8") as f:
         f.write(importance.matrix_to_csv(imap.raw))
-    _write_json(out / "importance_meta.json", {
-        "digest": imap.digest(),
-        "model_digest": model_digest,
-        "token_count": imap.token_count,
-        "sample_size": imap.sample_size,
-        "epsilon": imap.epsilon,
-        "shape": list(imap.shape),
-    })
+    _write_importance_meta(out, imap, model_digest=model_digest)
     print(f"importance map written to {out / 'importance.csv'} "
           f"(sample {imap.sample_size}, tokens {imap.token_count})")
     return 0
@@ -209,7 +218,7 @@ def cmd_importance(args) -> int:
 def cmd_prune(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
-    if rc.keep_count is None:
+    if rc.train.keep_count is None:
         raise ConfigError("config has no prune.keep_count")
     weights, _, model_digest = _load_model_checkpoint(args.checkpoint)
 
@@ -229,7 +238,7 @@ def cmd_prune(args) -> int:
     final = importance.import_importance_csv(imp_csv)
     digest = meta.get("digest", "")
 
-    plan = pruning.select_heads(final, rc.keep_count, digest=digest)
+    plan = pruning.select_heads(final, rc.train.keep_count, digest=digest)
     pruned = pruning.apply_slice_prune(weights, plan)
     checkpoint.save_model(out / "pruned.ckpt", pruned)
     plan.save(out / "prune_plan.json")
@@ -252,19 +261,13 @@ def cmd_train(args) -> int:
         importance.export_importance(
             art.importance_map, out / "importance.csv", out / "importance.ppm"
         )
-        _write_json(out / "importance_meta.json", {
-            "digest": art.importance_map.digest(),
-            "token_count": art.importance_map.token_count,
-            "sample_size": art.importance_map.sample_size,
-            "epsilon": art.importance_map.epsilon,
-            "shape": list(art.importance_map.shape),
-        })
+        _write_importance_meta(out, art.importance_map)
     if art.prune_plan is not None:
         art.prune_plan.save(out / "prune_plan.json")
     if art.rank_plan is not None:
         art.rank_plan.save(out / "rank_plan.json")
-    _write_json(out / "report.json", report.to_dict(include_timing=False))
-    _write_json(out / "report_timing.json", report.timing_dict())
+    write_json(out / "report.json", report.to_dict())
+    write_json(out / "report_timing.json", report.timing_dict())
     print(f"final eval accuracy {report.final_accuracy:.4f} "
           f"({report.trainable_params} trainable of {report.total_params})")
     return 0
@@ -298,7 +301,7 @@ def cmd_eval(args) -> int:
 
     acc, loss = training.evaluate(weights, eval_data, adapters,
                                   rc.train.batch_size)
-    _write_json(out / "eval.json", {
+    write_json(out / "eval.json", {
         "accuracy": acc, "loss": loss, "examples": eval_data.size,
     })
     if args.dump_logits:
@@ -326,16 +329,16 @@ def cmd_report(args) -> int:
     payload["full_finetune"] = full.to_dict()
     rows.append(("full_finetune", full))
 
-    if rc.n_high <= cfg.num_layers:
+    if rc.train.n_high <= cfg.num_layers:
         # which blocks carry the high rank doesn't change the count
-        ranks = [rc.rank_high] * rc.n_high + \
-            [rc.rank_low] * (cfg.num_layers - rc.n_high)
+        ranks = [rc.train.rank_high] * rc.train.n_high + \
+            [rc.train.rank_low] * (cfg.num_layers - rc.train.n_high)
         adapter_rep = accounting.count_params(cfg, rank_plan=ranks)
         payload["lora"] = adapter_rep.to_dict()
         rows.append(("lora", adapter_rep))
         note = (
-            f"lora trainable (ranks {rc.rank_high}x{rc.n_high}/{rc.rank_low}"
-            f"x{cfg.num_layers - rc.n_high} on q,k,v,o + layernorms + head): "
+            f"lora trainable (ranks {rc.train.rank_high}x{rc.train.n_high}/{rc.train.rank_low}"
+            f"x{cfg.num_layers - rc.train.n_high} on q,k,v,o + layernorms + head): "
             f"{adapter_rep.trainable_params:,}"
         )
         if is_reference:
@@ -348,11 +351,11 @@ def cmd_report(args) -> int:
             )
         notes.append(note)
 
-    if rc.keep_count is not None:
-        pruned = accounting.count_params(cfg, prune_plan=rc.keep_count)
+    if rc.train.keep_count is not None:
+        pruned = accounting.count_params(cfg, prune_plan=rc.train.keep_count)
         payload["pruned"] = pruned.to_dict()
         rows.append(("pruned", pruned))
-        removed = cfg.num_layers * cfg.num_heads - rc.keep_count
+        removed = cfg.num_layers * cfg.num_heads - rc.train.keep_count
         note = (
             f"pruned total {pruned.total_params:,} = {full.total_params:,} - "
             f"{removed} heads x {accounting.per_head_params(cfg):,} params"
@@ -390,7 +393,7 @@ def cmd_report(args) -> int:
     payload["notes"] = notes
 
     table = accounting.format_report_table(rows)
-    _write_json(out / "params_report.json", payload)
+    write_json(out / "params_report.json", payload)
     with open(out / "params_table.txt", "w", encoding="utf-8") as f:
         f.write(table)
         for note in notes:

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .schema import Record
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -71,7 +73,7 @@ def batches(data: TokenBatch, batch_size: int):
 
 
 @dataclass(frozen=True)
-class SyntheticTaskSpec:
+class SyntheticTaskSpec(Record):
     kind: str
     seq_len: int = 8            # content tokens; rows are seq_len + 1 wide (CLS)
     vocab_size: int = 32
@@ -93,18 +95,6 @@ class SyntheticTaskSpec:
             raise ValueError(f"{self.kind} is a binary task")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "seq_len": self.seq_len,
-            "vocab_size": self.vocab_size, "num_classes": self.num_classes,
-            "seed": self.seed, "train_size": self.train_size,
-            "eval_size": self.eval_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticTaskSpec":
-        return cls(**d)
 
 
 def _balanced_labels(n: int, num_classes: int, rng: np.random.Generator):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import (
     CheckpointError,
@@ -23,8 +22,10 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .model import TransformerWeights
+from .schema import write_json
 
-TARGETS = ("q", "k", "v", "o")
+# adapter target -> the Block projection it attaches to
+TARGETS = {"q": "wq", "k": "wk", "v": "wv", "o": "wo"}
 ADAPTER_INIT_STD = 0.02
 
 
@@ -56,9 +57,7 @@ class RankPlan:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "RankPlan":
@@ -99,9 +98,7 @@ def make_rank_plan(
 
 def _target_dims(weights: TransformerWeights, layer: int, target: str):
     """(in_dim, out_dim) of the target projection in this block."""
-    blk = weights.blocks[layer]
-    w = {"q": blk.wq, "k": blk.wk, "v": blk.wv, "o": blk.wo}[target]
-    return w.data.shape
+    return getattr(weights.blocks[layer], TARGETS[target]).data.shape
 
 
 @dataclass
@@ -127,10 +124,6 @@ class LoraAdapters:
 
     def num_params(self) -> int:
         return sum(t.data.size for t in self.all_tensors())
-
-    def set_requires_grad(self, flag: bool):
-        for t in self.all_tensors():
-            t.requires_grad = flag
 
 
 def init_adapters(
@@ -163,15 +156,6 @@ def init_adapters(
     return LoraAdapters(pairs=pairs, plan=plan, seed=seed, scaling=scaling)
 
 
-def adapter_forward(x: Tensor, w: Tensor, a: Tensor, b: Tensor,
-                    scaling: float = 1.0) -> Tensor:
-    """x @ w + scaling * ((x @ a) @ b) -- the side-path form."""
-    delta = ag.matmul(ag.matmul(x, a), b)
-    if scaling != 1.0:
-        delta = ag.mul(delta, scaling)
-    return ag.add(ag.matmul(x, w), delta)
-
-
 def merge(w: Tensor, a: Tensor, b: Tensor, scaling: float = 1.0) -> Tensor:
     """w + scaling * (a @ b) as a fresh tensor; w is untouched."""
     if a.data.shape[0] != w.data.shape[0] or b.data.shape[1] != w.data.shape[1] \
@@ -189,7 +173,7 @@ def merge_adapters(weights: TransformerWeights, adapters: LoraAdapters) -> Trans
     out = weights.clone()
     for l, blk in enumerate(out.blocks):
         targets = adapters.for_block(l)
-        for t, attr in (("q", "wq"), ("k", "wk"), ("v", "wv"), ("o", "wo")):
+        for t, attr in TARGETS.items():
             a, b = targets[t]
             merged = merge(getattr(blk, attr), a, b, adapters.scaling)
             setattr(blk, attr, merged)

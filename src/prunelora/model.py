@@ -13,18 +13,19 @@ indices of kept heads live in `head_index_map` (identity when unpruned).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .schema import Record
 
 PAD_SCORE = -1e9  # additive attention bias on padded key positions
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     num_layers: int = 4
     num_heads: int = 4
     hidden: int = 64
@@ -60,10 +61,6 @@ class ModelConfig:
             raise ValueError("init_std must be positive")
 
     @classmethod
-    def toy(cls, **overrides) -> "ModelConfig":
-        return cls(**overrides)
-
-    @classmethod
     def reference(cls, **overrides) -> "ModelConfig":
         """bert-base geometry; headless so totals match published counts."""
         base = dict(
@@ -73,19 +70,6 @@ class ModelConfig:
         )
         base.update(overrides)
         return cls(**base)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers, "num_heads": self.num_heads,
-            "hidden": self.hidden, "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size, "max_positions": self.max_positions,
-            "type_vocab": self.type_vocab, "num_classes": self.num_classes,
-            "layernorm_eps": self.layernorm_eps, "init_std": self.init_std,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -106,6 +90,25 @@ class Block:
     ln1_beta: Tensor
     ln2_gamma: Tensor
     ln2_beta: Tensor
+
+
+# per-block tensor names, in checkpoint order
+BLOCK_PARTS = tuple(f.name for f in fields(Block))
+
+# (checkpoint name, TransformerWeights attribute) around the blocks
+_EMBEDDING_TENSORS = (
+    ("embeddings.token", "tok_emb"),
+    ("embeddings.position", "pos_emb"),
+    ("embeddings.type", "type_emb"),
+    ("embeddings.ln_gamma", "emb_ln_gamma"),
+    ("embeddings.ln_beta", "emb_ln_beta"),
+)
+_HEAD_TENSORS = (
+    ("pooler.w", "pooler_w"),
+    ("pooler.b", "pooler_b"),
+    ("classifier.w", "classifier_w"),
+    ("classifier.b", "classifier_b"),
+)
 
 
 @dataclass
@@ -130,35 +133,42 @@ class TransformerWeights:
                 list(range(self.config.num_heads)) for _ in self.blocks
             ]
 
-    def kept_heads(self, layer: int) -> list[int]:
-        return self.head_index_map[layer]
-
     def named_tensors(self):
         """Yield (name, tensor) in a fixed, checkpoint-stable order."""
-        yield "embeddings.token", self.tok_emb
-        yield "embeddings.position", self.pos_emb
-        yield "embeddings.type", self.type_emb
-        yield "embeddings.ln_gamma", self.emb_ln_gamma
-        yield "embeddings.ln_beta", self.emb_ln_beta
+        for name, attr in _EMBEDDING_TENSORS:
+            yield name, getattr(self, attr)
         for l, blk in enumerate(self.blocks):
-            for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                         "w_up", "b_up", "w_down", "b_down",
-                         "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
+            for part in BLOCK_PARTS:
                 yield f"block{l}.{part}", getattr(blk, part)
-        yield "pooler.w", self.pooler_w
-        yield "pooler.b", self.pooler_b
-        if self.classifier_w is not None:
-            yield "classifier.w", self.classifier_w
-            yield "classifier.b", self.classifier_b
+        for name, attr in _HEAD_TENSORS:
+            if getattr(self, attr) is not None:
+                yield name, getattr(self, attr)
+
+    @classmethod
+    def from_named(cls, config: ModelConfig, tensors: dict,
+                   head_index_map=None) -> "TransformerWeights":
+        """Inverse of named_tensors: weights from a {name: Tensor} map.
+
+        Classifier entries may be absent (headless model).
+        """
+        return cls(
+            config=config,
+            blocks=[
+                Block(**{part: tensors[f"block{l}.{part}"]
+                         for part in BLOCK_PARTS})
+                for l in range(config.num_layers)
+            ],
+            head_index_map=head_index_map or [],
+            **{attr: tensors.get(name)
+               for name, attr in _EMBEDDING_TENSORS + _HEAD_TENSORS},
+        )
 
     def all_tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
 
     def layernorm_tensors(self) -> list[Tensor]:
-        out = [self.emb_ln_gamma, self.emb_ln_beta]
-        for blk in self.blocks:
-            out += [blk.ln1_gamma, blk.ln1_beta, blk.ln2_gamma, blk.ln2_beta]
-        return out
+        return [t for name, t in self.named_tensors()
+                if name.split(".")[1].startswith("ln")]
 
     def set_requires_grad(self, flag: bool):
         for t in self.all_tensors():
@@ -169,30 +179,10 @@ class TransformerWeights:
 
     def clone(self) -> "TransformerWeights":
         """Deep copy: fresh tensors, no gradient state or graph links."""
-        def c(t):
-            return None if t is None else Tensor(t.data.copy())
-
-        return TransformerWeights(
-            config=self.config,
-            tok_emb=c(self.tok_emb),
-            pos_emb=c(self.pos_emb),
-            type_emb=c(self.type_emb),
-            emb_ln_gamma=c(self.emb_ln_gamma),
-            emb_ln_beta=c(self.emb_ln_beta),
-            blocks=[
-                Block(**{
-                    part: c(getattr(blk, part))
-                    for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                                 "w_up", "b_up", "w_down", "b_down",
-                                 "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-                })
-                for blk in self.blocks
-            ],
-            pooler_w=c(self.pooler_w),
-            pooler_b=c(self.pooler_b),
-            classifier_w=c(self.classifier_w),
-            classifier_b=c(self.classifier_b),
-            head_index_map=[list(row) for row in self.head_index_map],
+        return self.from_named(
+            self.config,
+            {name: Tensor(t.data.copy()) for name, t in self.named_tensors()},
+            [list(row) for row in self.head_index_map],
         )
 
 
@@ -364,35 +354,3 @@ def forward(
     pooled = ag.tanh(ag.add(ag.matmul(ag.first_token(x), weights.pooler_w),
                             weights.pooler_b))
     return ag.add(ag.matmul(pooled, weights.classifier_w), weights.classifier_b)
-
-
-def attention_head(
-    weights: TransformerWeights,
-    layer: int,
-    head: int,
-    x: Tensor,
-    mask: HeadMask | None = None,
-    attn_bias: np.ndarray | None = None,
-) -> Tensor:
-    """Single-head attention on block input x, scaled by the head's mask."""
-    cfg = weights.config
-    if not (0 <= layer < cfg.num_layers) or not (0 <= head < cfg.num_heads):
-        raise IndexError(f"head ({layer}, {head}) out of range")
-    kept = weights.head_index_map[layer]
-    if head not in kept:
-        raise IndexError(f"head ({layer}, {head}) was pruned away")
-    j = kept.index(head)
-    blk = weights.blocks[layer]
-    d_h = cfg.head_dim
-    lo, hi = j * d_h, (j + 1) * d_h
-
-    q = ag.narrow_lastdim(ag.add(ag.matmul(x, blk.wq), blk.bq), lo, hi)
-    k = ag.narrow_lastdim(ag.add(ag.matmul(x, blk.wk), blk.bk), lo, hi)
-    v = ag.narrow_lastdim(ag.add(ag.matmul(x, blk.wv), blk.bv), lo, hi)
-    scores = ag.mul(ag.matmul(q, ag.transpose_last2(k)), 1.0 / math.sqrt(d_h))
-    if attn_bias is not None:
-        scores = ag.add(scores, attn_bias)
-    out = ag.matmul(ag.softmax_lastdim(scores), v)
-    if mask is not None:
-        out = ag.mul(out, ag.pick(mask.xi, (layer, head)))
-    return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .model import HeadMask, TransformerWeights
+from .schema import write_json
 
 
 @dataclass
@@ -56,9 +57,7 @@ class PrunePlan:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "PrunePlan":

@@ -1,0 +1,82 @@
+"""Dataclass <-> JSON for configs, reports and plans.
+
+A config section is a JSON object whose keys are the fields of the one
+dataclass that owns it. `parse_section` rejects anything else (an unknown
+or misplaced key, a section that is not an object, a scalar of the wrong
+type) with a ConfigError that names the section and key, so a typo never
+falls back to a default.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import MISSING, asdict, fields
+
+
+class ConfigError(ValueError):
+    pass
+
+
+# annotation -> accepted JSON types; other annotations pass unchecked
+_SCALARS = {"int": int, "float": (int, float), "str": str}
+
+
+def parse_section(raw, section: str, types: dict) -> dict:
+    """Copy of `raw` after checking it is an object whose keys all lie in
+    `types` (key -> annotation) and whose scalars match their annotation.
+
+    A missing section (None) reads as {}.
+    """
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        what = f"config section {section!r}" if section else "the config"
+        raise ConfigError(f"{what} must be a JSON object, "
+                          f"got {type(raw).__name__}")
+    for key, value in raw.items():
+        name = f"{section}.{key}" if section else key
+        if key not in types:
+            raise ConfigError(f"unknown config key {name!r} "
+                              f"(known keys: {', '.join(sorted(types))})")
+        kind = types[key].removesuffix(" | None")
+        want = _SCALARS.get(kind)
+        if want is None or (value is None and kind != types[key]):
+            continue
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"config key {name!r} must be {kind}, "
+                              f"got {value!r}")
+    return dict(raw)
+
+
+def field_types(cls) -> dict:
+    """Field name -> annotation string (modules use postponed annotations)."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+class Record:
+    """Dataclass mixin: `to_dict` is `asdict`; `from_dict` is the
+    constructor after `parse_section` and a check for required fields, and
+    turns a value the class rejects into a ConfigError too."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict, section: str = ""):
+        section = section or cls.__name__
+        d = parse_section(d, section, field_types(cls))
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING \
+                    and f.default_factory is MISSING:
+                raise ConfigError(f"config key '{section}.{f.name}' is required")
+        try:
+            return cls(**d)
+        except ValueError as e:
+            raise ConfigError(f"config section {section!r}: {e}") from e
+
+
+def write_json(path, obj) -> None:
+    """The byte layout of every JSON output: sorted keys, indent 2, newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")

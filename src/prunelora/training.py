@@ -10,7 +10,7 @@ under the same freeze policy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .importance import (
 from .lora import LoraAdapters, RankPlan, init_adapters, make_rank_plan
 from .model import ModelConfig, TransformerWeights, forward, init_weights
 from .pruning import PrunePlan, apply_slice_prune, select_heads
+from .schema import Record
 
 REGIMES = ("full_finetune", "lora", "prune_lora")
 
@@ -35,7 +36,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     regime: str = "full_finetune"
     epochs: int = 30
     learning_rate: float = 2e-5
@@ -61,22 +62,6 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime, "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-            "seed": self.seed, "eval_every": self.eval_every,
-            "keep_count": self.keep_count, "n_high": self.n_high,
-            "rank_high": self.rank_high, "rank_low": self.rank_low,
-            "importance_sample_size": self.importance_sample_size,
-            "importance_epsilon": self.importance_epsilon,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 @dataclass
 class TrainReport:
@@ -91,20 +76,10 @@ class TrainReport:
     total_params: int
     epoch_seconds: list[float] = field(default_factory=list)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "regime": self.regime,
-            "epochs": self.epochs,
-            "step_count": self.step_count,
-            "train_loss": self.train_loss,
-            "eval_epochs": self.eval_epochs,
-            "eval_accuracy": self.eval_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "trainable_params": self.trainable_params,
-            "total_params": self.total_params,
-        }
-        if include_timing:
-            d["epoch_seconds"] = self.epoch_seconds
+    def to_dict(self) -> dict:
+        """Every field but the wall-clock ones (see timing_dict)."""
+        d = asdict(self)
+        del d["epoch_seconds"]
         return d
 
     def timing_dict(self) -> dict:
@@ -272,12 +247,10 @@ def train(
                 if log:
                     log(f"[{config.regime}] epoch {epoch} "
                         f"loss {train_loss[-1]:.4f} eval acc {acc:.4f}")
-    except ValueError as e:
-        if "non-finite" in str(e):
-            raise TrainingDiverged(
-                f"model state went non-finite at epoch {epoch} step {steps}"
-            ) from e
-        raise
+    except ag.NonFiniteError as e:
+        raise TrainingDiverged(
+            f"model state went non-finite at epoch {epoch} step {steps}"
+        ) from e
 
     return TrainReport(
         regime=config.regime,

@@ -1,8 +1,13 @@
+import json
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from prunelora import checkpoint, init_weights
-from prunelora.checkpoint import CheckpointError
+from prunelora.checkpoint import MAGIC, CheckpointError
+from prunelora.model import Block
 
 
 def test_model_roundtrip_bit_exact(toy_config, toy_weights, tmp_path):
@@ -83,3 +88,60 @@ def test_sliced_model_roundtrip(toy_weights, tmp_path):
     assert loaded.head_index_map == sliced.head_index_map
     assert loaded.blocks[2].wq.data.shape == (64, 0)
     assert np.array_equal(loaded.blocks[0].wq.data, sliced.blocks[0].wq.data)
+
+
+def _rewrite(path, edit_manifest):
+    """Re-pack a checkpoint after editing its manifest dict in place."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", data[8:16])
+    manifest = json.loads(data[16:16 + mlen])
+    edit_manifest(manifest)
+    payload = json.dumps(manifest).encode()
+    return (MAGIC + data[4:8] + struct.pack("<Q", len(payload)) + payload
+            + data[16 + mlen:])
+
+
+def _shrink_first_size(manifest):
+    manifest["tensors"][0]["size"] -= 8
+
+
+DAMAGE = {
+    "header cut": lambda p: p.read_bytes()[:10],
+    "manifest cut": lambda p: p.read_bytes()[:40],
+    "payload cut": lambda p: p.read_bytes()[:-8],
+    "size disagrees with shape": lambda p: _rewrite(p, _shrink_first_size),
+    "unknown config key": lambda p: _rewrite(
+        p, lambda m: m["config"].update(hiden=64)),
+    "no head_index_map": lambda p: _rewrite(
+        p, lambda m: m.pop("head_index_map")),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_checkpoint_raises_checkpoint_error(toy_weights, tmp_path,
+                                                    damage):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, toy_weights)
+    path.write_bytes(DAMAGE[damage](path))
+    with pytest.raises(CheckpointError):
+        checkpoint.load_model(path)
+
+
+def test_every_block_field_survives_clone_and_checkpoint(toy_weights,
+                                                         tmp_path):
+    # distinct values per field, so a dropped or swapped field shows
+    rng = np.random.default_rng(0)
+    for blk in toy_weights.blocks:
+        for f in fields(Block):
+            t = getattr(blk, f.name)
+            t.data[...] = rng.uniform(-1, 1, t.data.shape)
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, toy_weights)
+    loaded, _ = checkpoint.load_model(path)
+    for copy in (toy_weights.clone(), loaded):
+        assert len(copy.blocks) == len(toy_weights.blocks)
+        for orig, blk in zip(toy_weights.blocks, copy.blocks):
+            for f in fields(Block):
+                a, b = getattr(orig, f.name), getattr(blk, f.name)
+                assert b is not a and b.data is not a.data, f.name
+                assert np.array_equal(a.data, b.data), f.name

@@ -318,3 +318,24 @@ def test_errors_exit_nonzero(config_path, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")
     assert run("train", "--config", bad, "--out", tmp_path / "z") == 2
+
+
+BAD_CONFIGS = {
+    "train.epocs": {"train": {"epocs": 3}},
+    "rank.n_hihg": {"rank": {"n_hihg": 2}},
+    "model.hiden": {"model": {"hiden": 64}},
+    "task.seqlen": {"task": {"seqlen": 8}},
+    "tsak": {"tsak": {"kind": "parity"}},
+    "train.keep_count": {"train": {"keep_count": 12}},  # belongs in prune
+    "train": {"train": [1]},
+    "rank.n_high": {"rank": {"n_high": "2"}},
+    "importance.batch_size": {"importance": {"batch_size": 3.5}},
+}
+
+
+@pytest.mark.parametrize("named", list(BAD_CONFIGS))
+def test_bad_config_key_exits_2_and_names_it(tmp_path, capsys, named):
+    cfg = write_config(tmp_path / "bad.json", **BAD_CONFIGS[named])
+    assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
+    assert f"'{named}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -15,7 +15,6 @@ from prunelora.autograd import Tensor
 from prunelora.lora import (
     RankPlan,
     TARGETS,
-    adapter_forward,
     load_adapters,
     merge,
     save_adapters,
@@ -102,32 +101,19 @@ def test_adapter_shapes_follow_pruned_projections():
     assert np.all(b_q.data == 0) and np.all(b_o.data == 0)
 
 
-def test_adapter_forward_zero_b_is_plain_projection():
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.uniform(-1, 1, (3, 5)))
-    w = Tensor(rng.uniform(-1, 1, (5, 4)))
-    a = Tensor(rng.uniform(-1, 1, (5, 2)))
-    b = Tensor(np.zeros((2, 4)))
-    assert np.array_equal(adapter_forward(x, w, a, b).data, (x.data @ w.data))
-
-
-def test_adapter_forward_identity_composition():
-    x = Tensor(np.random.default_rng(2).uniform(-1, 1, (3, 4)))
-    w = Tensor(np.zeros((4, 4)))
-    eye = Tensor(np.eye(4))
-    out = adapter_forward(x, w, eye, eye, scaling=1.0)
-    assert np.abs(out.data - x.data).max() < 1e-15
-
-
-def test_adapter_forward_equals_merged_matmul():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(-1, 1, (6, 5)))
-    w = Tensor(rng.uniform(-1, 1, (5, 4)))
-    a = Tensor(rng.uniform(-1, 1, (5, 3)))
-    b = Tensor(rng.uniform(-1, 1, (3, 4)))
-    side = adapter_forward(x, w, a, b, scaling=0.7)
-    folded = x.data @ (w.data + 0.7 * (a.data @ b.data))
-    assert np.abs(side.data - folded).max() < 1e-12
+def test_adapter_forward_equals_merged_matmul(toy_weights, parity_batch):
+    """A scaled side path equals the base forward with scaling * A @ B
+    folded into every projection."""
+    batch = parity_batch.slice(0, 8)
+    plan = make_rank_plan([0.3, 0.9, 0.1, 0.5], n_high=2, rank_high=8, rank_low=4)
+    adapters = perturb(init_adapters(toy_weights, plan, seed=4, scaling=0.7))
+    folded = toy_weights.clone()
+    for l, blk in enumerate(folded.blocks):
+        for t, attr in TARGETS.items():
+            a, b = adapters.for_block(l)[t]
+            getattr(blk, attr).data += 0.7 * (a.data @ b.data)
+    side = forward(toy_weights, batch, adapters=adapters)
+    assert np.abs(side.data - forward(folded, batch).data).max() < 1e-10
 
 
 def test_merge_zero_b_is_bit_exact():

@@ -6,12 +6,12 @@ from prunelora import (
     HeadMask,
     ModelConfig,
     SyntheticTaskSpec,
+    TokenBatch,
     forward,
     generate,
     init_weights,
 )
 from prunelora.autograd import Tensor
-from prunelora.model import attention_head
 
 from conftest import finite_diff, rel_err
 
@@ -83,38 +83,36 @@ def test_zero_mask_row_equals_bias_only_block(toy_weights, parity_batch):
 
 
 def test_head_output_linear_in_mask_scalar(toy_weights, parity_batch):
+    """xi[l, h] scales head h's output exactly like scaling its V columns
+    (bit-identical: 0.5 and 0 are exact scale factors)."""
     batch = parity_batch.slice(0, 4)
     cfg = toy_weights.config
-    x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 5, cfg.hidden)))
-
-    def masked(value):
+    cols = slice(cfg.head_dim, 2 * cfg.head_dim)  # head 1
+    for value in (0.5, 0.0):
         xi = np.ones((cfg.num_layers, cfg.num_heads))
         xi[2, 1] = value
-        return attention_head(
-            toy_weights, 2, 1, x, mask=HeadMask(Tensor(xi, requires_grad=False))
-        ).data
-
-    full = masked(1.0)
-    assert np.array_equal(masked(0.0), np.zeros_like(full))
-    assert np.array_equal(masked(0.5), 0.5 * full)  # exact: 0.5 is a power of 2
-
-
-def test_single_token_attention_returns_value_row(toy_weights):
-    cfg = toy_weights.config
-    x = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 1, cfg.hidden)))
-    out = attention_head(toy_weights, 0, 2, x)
-    blk = toy_weights.blocks[0]
-    v = x.data @ blk.wv.data + blk.bv.data
-    d_h = cfg.head_dim
-    assert np.abs(out.data - v[:, :, 2 * d_h:3 * d_h]).max() < 1e-12
+        masked = forward(toy_weights, batch,
+                         mask=HeadMask(Tensor(xi, requires_grad=False)))
+        scaled = toy_weights.clone()
+        scaled.blocks[2].wv.data[:, cols] *= value
+        scaled.blocks[2].bv.data[cols] *= value
+        assert np.array_equal(masked.data, forward(scaled, batch).data), value
 
 
-def test_attention_head_index_errors(toy_weights):
-    x = Tensor(np.zeros((1, 2, toy_weights.config.hidden)))
-    with pytest.raises(IndexError):
-        attention_head(toy_weights, 9, 0, x)
-    with pytest.raises(IndexError):
-        attention_head(toy_weights, 0, 9, x)
+def test_single_token_attention_returns_value_row(toy_weights, parity_batch):
+    """Over a single key the softmax is exactly 1, so each head returns its
+    value row and the logits cannot depend on the Q/K projections."""
+    rows = parity_batch.slice(0, 3)
+    one_token = TokenBatch(rows.token_ids[:, :1], rows.attention_mask[:, :1],
+                           rows.labels)
+
+    other_qk = toy_weights.clone()
+    rng = np.random.default_rng(1)
+    for blk in other_qk.blocks:
+        for t in (blk.wq, blk.bq, blk.wk, blk.bk):
+            t.data[...] = rng.uniform(-1, 1, t.data.shape)
+    assert np.array_equal(forward(toy_weights, one_token).data,
+                          forward(other_qk, one_token).data)
 
 
 def test_zero_ffn_weights_reduce_to_bias_broadcast(toy_weights, parity_batch):

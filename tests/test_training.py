@@ -172,6 +172,23 @@ def test_divergence_aborts_with_diagnostic(toy_config):
             train(weights, cfg, train_data, eval_data, log=None)
 
 
+def test_unrelated_value_error_is_not_divergence(toy_config, monkeypatch):
+    from prunelora import training
+
+    train_data, eval_data = small_task(train_size=32, eval_size=32)
+    weights = init_weights(toy_config, seed=0)
+    freeze_policy(weights, None, "full_finetune")
+
+    def broken_forward(*args, **kwargs):
+        raise ValueError("non-finite in the message, yet not a NonFiniteError")
+
+    monkeypatch.setattr(training, "forward", broken_forward)
+    cfg = TrainConfig(regime="full_finetune", epochs=1, learning_rate=1e-3,
+                      batch_size=32, seed=0)
+    with pytest.raises(ValueError, match="not a NonFiniteError"):
+        train(weights, cfg, train_data, eval_data, log=None)
+
+
 def test_prune_lora_with_all_heads_matches_lora_structure(toy_config):
     train_data, eval_data = small_task(train_size=64, eval_size=32)
     base = dict(epochs=1, learning_rate=2e-3, batch_size=32, seed=0,
