@@ -7,11 +7,24 @@ accumulation deterministic. Graphs live for one forward pass only.
 
 Closures accumulate into parents directly and skip parents that do not
 require gradients, so frozen weights cost nothing on the backward pass.
+A parent's first gradient contribution is stored as a copy, later ones
+are added in place, so no `.grad` ever aliases another array.
+
+`matmul` of a `(..., k)` tensor by a 2-D `(k, n)` weight with at least
+`FLAT_MIN_WEIGHT` entries flattens the rows to `(-1, k)` and runs one 2-D
+GEMM forward. Backward, a frozen weight skips the weight-gradient GEMM; a
+trainable one gets the single `(k, n)` GEMM `a2.T @ g2`, with no batched
+`(b, k, n)` temporary and no reduction over batch dims. Smaller weights
+(hidden 64 and below), batched 3-D @ 3-D products (attention) and 2-D @ 2-D
+products use numpy's matmul broadcasting directly: there the batched
+temporary is small, and flattening measured slower for some shapes and
+turned single-threaded BLAS calls into multi-threaded ones.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,6 +32,9 @@ import numpy as np
 _grad_enabled = True
 _ids = itertools.count()
 _mac_counters: list[list[int]] = []
+
+# weights with fewer entries keep numpy's batched matmul (see module docstring)
+FLAT_MIN_WEIGHT = 1 << 16
 
 
 @contextmanager
@@ -84,9 +100,13 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
+        # The first contribution is stored as a C-ordered copy (one pass,
+        # one allocation): closures hand the same `g` to several parents
+        # and pass views of upstream gradients, so it is never aliased.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -157,19 +177,37 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dims follow numpy matmul broadcasting."""
+    """Matrix product; leading batch dims follow numpy matmul broadcasting.
+
+    `(..., k) @ (k, n)` with a large weight runs as one 2-D GEMM over
+    flattened rows, forward and backward (see the module docstring).
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    k = a.data.shape[-1]
+    flat = a.data.ndim > 2 and b.data.ndim == 2 and b.data.size >= FLAT_MIN_WEIGHT
+    if flat:
+        # explicit row count: a (-1, 0) reshape is ambiguous for empty arrays
+        rows, n = math.prod(a.data.shape[:-1]), b.data.shape[1]
+        data = (a.data.reshape(rows, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    else:
+        data = a.data @ b.data
     if _mac_counters:
-        macs = int(data.size) * int(a.data.shape[-1])
+        macs = int(data.size) * k
         for box in _mac_counters:
             box[0] += macs
 
     def bwd(g):
+        if flat:
+            g2 = g.reshape(rows, n)
+            if a.requires_grad:
+                a.accumulate_grad((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b.accumulate_grad(a.data.reshape(rows, k).T @ g2)
+            return
         if a.requires_grad:
             a.accumulate_grad(_reduce_to(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:

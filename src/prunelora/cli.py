@@ -228,6 +228,11 @@ def cmd_prune(args) -> int:
         raise ConfigError(f"missing metadata next to importance map: {meta_path}")
     with open(meta_path, encoding="utf-8") as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: expected a JSON object")
+    for key in ("model_digest", "digest"):
+        if not isinstance(meta.get(key, ""), str):
+            raise ConfigError(f"{meta_path}: {key} must be a string")
     if meta.get("model_digest") != model_digest:
         print(
             f"error: stale importance map: computed from model "

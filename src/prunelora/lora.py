@@ -219,7 +219,12 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
     manifest, arrays = read_checkpoint(path)
     if manifest.get("kind") != "adapters":
         raise CheckpointError(f"{path}: expected an adapter checkpoint")
-    plan = RankPlan.from_dict(manifest["rank_plan"])
+    try:
+        plan = RankPlan.from_dict(manifest["rank_plan"])
+        seed = int(manifest["seed"])
+        scaling = float(manifest["scaling"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
     pairs = []
     for l, r in enumerate(plan.block_rank):
         targets = {}
@@ -238,8 +243,8 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
     adapters = LoraAdapters(
         pairs=pairs,
         plan=plan,
-        seed=int(manifest["seed"]),
-        scaling=float(manifest["scaling"]),
+        seed=seed,
+        scaling=scaling,
     )
     if weights is not None:
         validate_against(adapters, weights)

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from prunelora import ModelConfig, SyntheticTaskSpec, generate, init_weights
+from prunelora.checkpoint import MAGIC
 
 
 def finite_diff(f, tensor, h=1e-5):
@@ -18,6 +22,17 @@ def finite_diff(f, tensor, h=1e-5):
         tensor.data[idx] = orig
         g[idx] = (fp - fm) / (2 * h)
     return g
+
+
+def repack_checkpoint(path, edit_manifest):
+    """Checkpoint bytes re-packed after editing the manifest dict in place."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", data[8:16])
+    manifest = json.loads(data[16:16 + mlen])
+    edit_manifest(manifest)
+    payload = json.dumps(manifest).encode()
+    return (MAGIC + data[4:8] + struct.pack("<Q", len(payload)) + payload
+            + data[16 + mlen:])
 
 
 def rel_err(a, b, floor=1e-8):

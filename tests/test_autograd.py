@@ -67,6 +67,131 @@ def test_matmul_batched_gradients():
     assert rel_err(finite_diff(f, b), b.grad) < 1e-6
 
 
+@pytest.fixture(params=["flattened", "batched"])
+def matmul_path(request, monkeypatch):
+    """Run a test on both matmul paths, whatever the weight size."""
+    limit = 0 if request.param == "flattened" else math.inf
+    monkeypatch.setattr(ag, "FLAT_MIN_WEIGHT", limit)
+    return request.param
+
+
+def check_matmul_gradients(a, b):
+    """Forward equals np.matmul; trainable inputs match finite differences."""
+    rng = np.random.default_rng(0)
+    out = ag.matmul(a, b)
+    assert np.abs(out.data - np.matmul(a.data, b.data)).max() < 1e-12
+    w = Tensor(rng.uniform(-1, 1, out.data.shape))
+    ag.backward(scalar_loss(out, w))
+
+    def f():
+        with ag.no_grad():
+            return float(scalar_loss(ag.matmul(a, b), w).data)
+
+    for t in (a, b):
+        if t.requires_grad:
+            assert rel_err(finite_diff(f, t), t.grad) < 1e-6
+        else:
+            assert t.grad is None
+
+
+def test_matmul_4d_by_2d_gradients(matmul_path):
+    rng = np.random.default_rng(2)
+    check_matmul_gradients(
+        Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)), requires_grad=True),
+        Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True),
+    )
+
+
+@pytest.mark.parametrize("trainable", ["a", "b"])
+def test_matmul_3d_by_2d_one_side_trainable(matmul_path, trainable):
+    rng = np.random.default_rng(3)
+    check_matmul_gradients(
+        Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=trainable == "a"),
+        Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=trainable == "b"),
+    )
+
+
+def test_matmul_non_contiguous_inputs(matmul_path):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (3, 2, 4))
+    w = rng.uniform(-1, 1, (5, 4))
+    a = Tensor(x.swapaxes(0, 1), requires_grad=True)
+    b = Tensor(w.T, requires_grad=True)
+    assert not a.data.flags.c_contiguous and not b.data.flags.c_contiguous
+    check_matmul_gradients(a, b)
+
+
+def test_matmul_empty_inner_dimension(matmul_path):
+    # numpy accepts empty products; the flattened path must reshape them too
+    a = Tensor(np.zeros((2, 3, 0)), requires_grad=True)
+    b = Tensor(np.zeros((0, 4)), requires_grad=True)
+    out = ag.matmul(a, b)
+    assert out.data.shape == (2, 3, 4) and not out.data.any()
+    ag.backward(ag.tensor_sum(out))
+    assert a.grad.shape == (2, 3, 0) and b.grad.shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# gradient accumulation never aliases
+
+
+def assert_grads_unaliased(leaves, others):
+    """No leaf grad shares memory with another tensor's grad."""
+    for leaf in leaves:
+        for t in leaves + others:
+            if t is not leaf and t.grad is not None:
+                assert not np.shares_memory(leaf.grad, t.grad)
+
+
+def test_add_same_tensor_twice():
+    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+    out = ag.add(x, x)
+    w = np.linspace(-1, 1, 6).reshape(2, 3)
+    ag.backward(scalar_loss(out, w))
+    assert np.array_equal(x.grad, 2 * w)
+    assert_grads_unaliased([x], [out])
+
+
+def test_add_two_leaves_get_separate_grads():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = ag.add(x, y)
+    ag.backward(ag.tensor_sum(out))
+    assert np.array_equal(x.grad, np.ones((2, 3)))
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert_grads_unaliased([x, y], [out])
+    x.grad += 1.0  # in-place writes to one grad must not reach the other
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert np.array_equal(out.grad, np.ones((2, 3)))
+
+
+def test_mul_same_tensor_twice():
+    xv = np.linspace(-2, 2, 6).reshape(3, 2)
+    x = Tensor(xv, requires_grad=True)
+    out = ag.mul(x, x)
+    w = np.linspace(0.5, 1.5, 6).reshape(3, 2)
+    ag.backward(scalar_loss(out, w))
+    assert np.allclose(x.grad, 2 * xv * w, rtol=1e-15, atol=0)
+    assert_grads_unaliased([x], [out])
+
+
+def test_tensor_feeding_two_branches(matmul_path):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    wmat = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
+    h = ag.matmul(x, wmat)
+    left = ag.reshape(h, (6, 4))  # a view-shaped backward into h
+    right = ag.add(h, x)
+    loss = ag.add(ag.tensor_sum(left), ag.tensor_sum(right))
+    ag.backward(loss)
+    ones = np.ones((2, 3, 4))
+    # dL/dh = 2 everywhere: dL/dx = 2 (1 @ W^T) + 1, dL/dW = 2 (x2^T @ 1)
+    assert np.allclose(x.grad, 2 * ones @ wmat.data.T + 1, rtol=1e-14)
+    assert np.allclose(wmat.grad, 2 * x.data.reshape(6, 4).T @ np.ones((6, 4)),
+                       rtol=1e-14)
+    assert_grads_unaliased([x, wmat], [h, left, right, loss])
+
+
 # ---------------------------------------------------------------------------
 # softmax
 

@@ -1,13 +1,13 @@
-import json
-import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from prunelora import checkpoint, init_weights
-from prunelora.checkpoint import MAGIC, CheckpointError
+from prunelora.checkpoint import CheckpointError
 from prunelora.model import Block
+
+from conftest import repack_checkpoint
 
 
 def test_model_roundtrip_bit_exact(toy_config, toy_weights, tmp_path):
@@ -90,17 +90,6 @@ def test_sliced_model_roundtrip(toy_weights, tmp_path):
     assert np.array_equal(loaded.blocks[0].wq.data, sliced.blocks[0].wq.data)
 
 
-def _rewrite(path, edit_manifest):
-    """Re-pack a checkpoint after editing its manifest dict in place."""
-    data = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", data[8:16])
-    manifest = json.loads(data[16:16 + mlen])
-    edit_manifest(manifest)
-    payload = json.dumps(manifest).encode()
-    return (MAGIC + data[4:8] + struct.pack("<Q", len(payload)) + payload
-            + data[16 + mlen:])
-
-
 def _shrink_first_size(manifest):
     manifest["tensors"][0]["size"] -= 8
 
@@ -109,10 +98,11 @@ DAMAGE = {
     "header cut": lambda p: p.read_bytes()[:10],
     "manifest cut": lambda p: p.read_bytes()[:40],
     "payload cut": lambda p: p.read_bytes()[:-8],
-    "size disagrees with shape": lambda p: _rewrite(p, _shrink_first_size),
-    "unknown config key": lambda p: _rewrite(
+    "size disagrees with shape": lambda p: repack_checkpoint(
+        p, _shrink_first_size),
+    "unknown config key": lambda p: repack_checkpoint(
         p, lambda m: m["config"].update(hiden=64)),
-    "no head_index_map": lambda p: _rewrite(
+    "no head_index_map": lambda p: repack_checkpoint(
         p, lambda m: m.pop("head_index_map")),
 }
 

@@ -6,8 +6,10 @@ import pytest
 from prunelora import checkpoint, count_params
 from prunelora.cli import main
 from prunelora.importance import import_importance_csv
-from prunelora.lora import RankPlan
+from prunelora.lora import RankPlan, load_adapters
 from prunelora.pruning import PrunePlan
+
+from conftest import repack_checkpoint
 
 
 def write_config(path, **overrides):
@@ -184,6 +186,55 @@ def test_merge_fresh_adapters_is_identity_and_double_merge_refused(
     assert run("merge", "--base", merged_path,
                "--adapters", out / "adapters.ckpt",
                "--out", tmp_path / "again.ckpt") == 2
+
+
+ADAPTER_MANIFEST_DAMAGE = {
+    "no rank_plan": lambda m: m.pop("rank_plan"),
+    "no seed": lambda m: m.pop("seed"),
+    "no scaling": lambda m: m.pop("scaling"),
+    "rank_plan a list": lambda m: m.update(rank_plan=[1]),
+    "seed null": lambda m: m.update(seed=None),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_lora_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lora_run")
+    cfg = write_config(root / "m.json", train={"regime": "lora", "epochs": 0})
+    assert run("train", "--config", cfg, "--out", root / "run") == 0
+    return root / "run"
+
+
+@pytest.mark.parametrize("damage", list(ADAPTER_MANIFEST_DAMAGE))
+def test_damaged_adapter_manifest_exits_2(fresh_lora_run, tmp_path, capsys,
+                                          damage):
+    src = fresh_lora_run / "adapters.ckpt"
+    bad = tmp_path / "adapters.ckpt"
+    bad.write_bytes(repack_checkpoint(src, ADAPTER_MANIFEST_DAMAGE[damage]))
+    with pytest.raises(checkpoint.CheckpointError):
+        load_adapters(bad)
+    assert run("merge", "--base", fresh_lora_run / "model.ckpt",
+               "--adapters", bad, "--out", tmp_path / "merged.ckpt") == 2
+    assert "bad adapter manifest" in capsys.readouterr().err
+    assert not (tmp_path / "merged.ckpt").exists()
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "x", {"model_digest": 5},
+                                  {"digest": ["a"]}], ids=repr)
+def test_malformed_importance_meta_exits_2(config_path, tmp_path, capsys,
+                                           meta):
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    if isinstance(meta, dict):
+        meta = {**json.loads((imp / "importance_meta.json").read_text()),
+                **meta}
+    (imp / "importance_meta.json").write_text(json.dumps(meta))
+    assert run("prune", "--config", config_path,
+               "--checkpoint", imp / "model.ckpt",
+               "--importance", imp / "importance.csv",
+               "--out", tmp_path / "pruned") == 2
+    assert "importance_meta.json" in capsys.readouterr().err
+    assert not (tmp_path / "pruned" / "pruned.ckpt").exists()
 
 
 def test_merged_eval_matches_adapter_eval_exactly(config_path, tmp_path):
