@@ -112,40 +112,6 @@ def file_digest(path) -> str:
 # model checkpoints
 
 
-def expected_model_shapes(config, head_index_map) -> dict:
-    """Every tensor name -> shape implied by config + kept heads."""
-    d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
-    shapes = {
-        "embeddings.token": (config.vocab_size, d),
-        "embeddings.position": (config.max_positions, d),
-        "embeddings.type": (config.type_vocab, d),
-        "embeddings.ln_gamma": (d,),
-        "embeddings.ln_beta": (d,),
-        "pooler.w": (d, d),
-        "pooler.b": (d,),
-    }
-    for l in range(config.num_layers):
-        width = len(head_index_map[l]) * d_h
-        shapes[f"block{l}.wq"] = (d, width)
-        shapes[f"block{l}.bq"] = (width,)
-        shapes[f"block{l}.wk"] = (d, width)
-        shapes[f"block{l}.bk"] = (width,)
-        shapes[f"block{l}.wv"] = (d, width)
-        shapes[f"block{l}.bv"] = (width,)
-        shapes[f"block{l}.wo"] = (width, d)
-        shapes[f"block{l}.bo"] = (d,)
-        shapes[f"block{l}.w_up"] = (d, d_f)
-        shapes[f"block{l}.b_up"] = (d_f,)
-        shapes[f"block{l}.w_down"] = (d_f, d)
-        shapes[f"block{l}.b_down"] = (d,)
-        for part in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
-            shapes[f"block{l}.{part}"] = (d,)
-    if config.num_classes > 0:
-        shapes["classifier.w"] = (d, config.num_classes)
-        shapes["classifier.b"] = (config.num_classes,)
-    return shapes
-
-
 def save_model(path, weights, merged_adapters: bool = False) -> None:
     header = {
         "kind": "model",
@@ -158,7 +124,7 @@ def save_model(path, weights, merged_adapters: bool = False) -> None:
 
 def load_model(path):
     """Load a model checkpoint; returns (TransformerWeights, manifest)."""
-    from .model import ModelConfig, TransformerWeights
+    from .model import ModelConfig, TransformerWeights, tensor_shapes
 
     manifest, arrays = read_checkpoint(path)
     if manifest.get("kind") != "model":
@@ -177,7 +143,7 @@ def load_model(path):
         if row != sorted(set(row)) or not set(row) <= set(range(config.num_heads)):
             raise CheckpointError(f"{path}: bad head_index_map row {row}")
 
-    shapes = expected_model_shapes(config, head_index_map)
+    shapes = tensor_shapes(config, head_index_map)
     if set(arrays) != set(shapes):
         missing = sorted(set(shapes) - set(arrays))
         extra = sorted(set(arrays) - set(shapes))

@@ -15,7 +15,10 @@ seed and output directory. The config is an object with these keys:
               default to the model's and the run's)
   tsv         train, eval: paths of label<TAB>text files, used when there
               is no task section
-  importance  sample_size, batch_size, epsilon
+  importance  sample_size, epsilon; the importance command and train's
+              lora/prune_lora regimes estimate in batches of
+              train.batch_size, so they compute the same map. A
+              batch_size key, if given, must equal train.batch_size
   prune       keep_count
   rank        n_high, rank_high, rank_low
   train       regime, epochs, learning_rate, weight_decay, batch_size,
@@ -23,7 +26,9 @@ seed and output directory. The config is an object with these keys:
 
 Any other key, a key in the wrong section, a section that is not an
 object or a value of the wrong type is a ConfigError, and the command
-exits with status 2. All outputs are deterministic functions of the config
+exits with status 2. So is, for prune, an importance.csv that is not
+finite, lies outside [0, 1] or does not hash to the digest recorded in
+importance_meta.json. All outputs are deterministic functions of the config
 (timing sidecars excepted, and marked as such by filename).
 """
 
@@ -35,6 +40,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 
 from . import accounting, checkpoint, importance, lora, pruning, training
 from .data import SyntheticTaskSpec, generate, ingest_tsv, save_vocab
@@ -54,7 +60,6 @@ class RunConfig:
     model: ModelConfig
     task: SyntheticTaskSpec | None
     train: TrainConfig  # also holds the importance, prune and rank knobs
-    importance_batch_size: int = 32
     tsv_train: str | None = None
     tsv_eval: str | None = None
     out_dir: str | None = None
@@ -65,7 +70,6 @@ class RunConfig:
 # The train section takes every TrainConfig field no other section claims.
 KNOB_SECTIONS = {
     "importance": {"sample_size": ("train", "importance_sample_size"),
-                   "batch_size": ("run", "importance_batch_size"),
                    "epsilon": ("train", "importance_epsilon")},
     "prune": {"keep_count": ("train", "keep_count")},
     "rank": {key: ("train", key) for key in ("n_high", "rank_high", "rank_low")},
@@ -85,6 +89,9 @@ SECTION_TYPES = {
                  for key, (owner, field) in keys.items()}
        for section, keys in KNOB_SECTIONS.items()},
 }
+# Configs written before importance always used train.batch_size may still
+# state importance.batch_size; load_run_config checks that it agrees.
+SECTION_TYPES["importance"]["batch_size"] = "int"
 TOP_LEVEL_TYPES = {"seed": "int", "out_dir": "str",
                    **{section: "section" for section in SECTION_TYPES}}
 
@@ -114,6 +121,8 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
               "train": {"seed": seed}}
     for section, keys in KNOB_SECTIONS.items():
         values = parse_section(raw.get(section), section, SECTION_TYPES[section])
+        if section == "importance":
+            importance_batch = values.pop("batch_size", None)
         for key, value in values.items():
             owner, field = keys[key]
             owners[owner][field] = value
@@ -131,6 +140,11 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
     rc = RunConfig(seed=seed, model=model, task=task,
                    train=TrainConfig.from_dict(owners["train"], "train"),
                    **owners["run"])
+    if importance_batch not in (None, rc.train.batch_size):
+        raise ConfigError(
+            f"importance.batch_size {importance_batch} != train.batch_size "
+            f"{rc.train.batch_size}: importance is estimated in training batches"
+        )
     # data-less configs are fine for report/prune/merge
     if task is None and raw.get("tsv") is not None:
         if not rc.tsv_train or not rc.tsv_eval:
@@ -199,13 +213,7 @@ def cmd_importance(args) -> int:
         checkpoint.save_model(ckpt_path, weights)
         model_digest = checkpoint.file_digest(ckpt_path)
     train_data, _ = load_datasets(rc, out)
-    sample = train_data.slice(0, min(rc.train.importance_sample_size, train_data.size))
-
-    imap = importance.estimate_importance(
-        weights, sample,
-        batch_size=rc.importance_batch_size,
-        epsilon=rc.train.importance_epsilon,
-    )
+    imap = training.regime_importance(weights, rc.train, train_data)
     importance.export_importance(imap, out / "importance.csv", out / "importance.ppm")
     with open(out / "importance_raw.csv", "w", encoding="utf-8") as f:
         f.write(importance.matrix_to_csv(imap.raw))
@@ -241,7 +249,11 @@ def cmd_prune(args) -> int:
         )
         return 2
     final = importance.import_importance_csv(imp_csv)
-    digest = meta.get("digest", "")
+    digest = meta.get("digest")
+    if not np.all(np.isfinite(final)) or final.min() < 0 or final.max() > 1:
+        raise ConfigError(f"{imp_csv}: importance values must be finite and in [0, 1]")
+    if importance.matrix_digest(final) != digest:
+        raise ConfigError(f"{imp_csv}: does not match the digest in {meta_path}")
 
     plan = pruning.select_heads(final, rc.train.keep_count, digest=digest)
     pruned = pruning.apply_slice_prune(weights, plan)

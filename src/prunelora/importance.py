@@ -46,7 +46,7 @@ class ImportanceMap:
 
     def digest(self) -> str:
         """Checksum of the final map (stable across export/import)."""
-        return hashlib.sha256(matrix_to_csv(self.final).encode()).hexdigest()
+        return matrix_digest(self.final)
 
 
 def estimate_raw_importance(
@@ -137,6 +137,11 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
     return "\n".join(
         ",".join("%.17g" % v for v in row) for row in np.atleast_2d(matrix)
     ) + "\n"
+
+
+def matrix_digest(matrix: np.ndarray) -> str:
+    """sha256 of the matrix's CSV text."""
+    return hashlib.sha256(matrix_to_csv(matrix).encode()).hexdigest()
 
 
 def csv_to_matrix(text: str) -> np.ndarray:

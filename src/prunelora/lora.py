@@ -112,6 +112,11 @@ class LoraAdapters:
     def for_block(self, layer: int) -> dict:
         return self.pairs[layer]
 
+    def by_part(self, layer: int) -> dict:
+        """Block part name ("wq", ...) -> (A, B, scaling) in this block."""
+        return {TARGETS[t]: (a, b, self.scaling)
+                for t, (a, b) in self.pairs[layer].items()}
+
     def named_tensors(self):
         for l, targets in enumerate(self.pairs):
             for t in TARGETS:

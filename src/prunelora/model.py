@@ -8,12 +8,15 @@ scalar before concatenation, so head saliency is one backward pass away.
 Weights may be head-pruned: per block, Q/K/V keep a column slice per kept
 head and the output projection keeps the matching row slice. The original
 indices of kept heads live in `head_index_map` (identity when unpruned).
+Each tensor's shape, init and head axis is declared once, in BLOCK_LAYOUT
+and the two tables around it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,43 +75,93 @@ class ModelConfig(Record):
         return cls(**base)
 
 
-@dataclass
-class Block:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    w_up: Tensor
-    b_up: Tensor
-    w_down: Tensor
-    b_down: Tensor
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
+class Part(NamedTuple):
+    """Layout of one tensor: its shape in named dimensions and its init."""
+
+    # ModelConfig field names, or "heads": kept heads x head_dim
+    shape: tuple[str, ...]
+    init: str  # "normal" (N(0, init_std)), "zeros" or "ones"
+
+    @property
+    def head_axis(self) -> int | None:
+        """The axis holding one head_dim slice per kept head, if any."""
+        return self.shape.index("heads") if "heads" in self.shape else None
 
 
-# per-block tensor names, in checkpoint order
-BLOCK_PARTS = tuple(f.name for f in fields(Block))
+# every per-block tensor, in checkpoint order
+BLOCK_LAYOUT = {
+    "wq": Part(("hidden", "heads"), "normal"),
+    "bq": Part(("heads",), "zeros"),
+    "wk": Part(("hidden", "heads"), "normal"),
+    "bk": Part(("heads",), "zeros"),
+    "wv": Part(("hidden", "heads"), "normal"),
+    "bv": Part(("heads",), "zeros"),
+    "wo": Part(("heads", "hidden"), "normal"),
+    "bo": Part(("hidden",), "zeros"),
+    "w_up": Part(("hidden", "ffn_dim"), "normal"),
+    "b_up": Part(("ffn_dim",), "zeros"),
+    "w_down": Part(("ffn_dim", "hidden"), "normal"),
+    "b_down": Part(("hidden",), "zeros"),
+    "ln1_gamma": Part(("hidden",), "ones"),
+    "ln1_beta": Part(("hidden",), "zeros"),
+    "ln2_gamma": Part(("hidden",), "ones"),
+    "ln2_beta": Part(("hidden",), "zeros"),
+}
+BLOCK_PARTS = tuple(BLOCK_LAYOUT)
+# the head-sliced parts (Q/K/V weights and biases, output rows) -> head axis
+HEAD_AXES = {part: spec.head_axis for part, spec in BLOCK_LAYOUT.items()
+             if spec.head_axis is not None}
 
-# (checkpoint name, TransformerWeights attribute) around the blocks
-_EMBEDDING_TENSORS = (
-    ("embeddings.token", "tok_emb"),
-    ("embeddings.position", "pos_emb"),
-    ("embeddings.type", "type_emb"),
-    ("embeddings.ln_gamma", "emb_ln_gamma"),
-    ("embeddings.ln_beta", "emb_ln_beta"),
-)
-_HEAD_TENSORS = (
-    ("pooler.w", "pooler_w"),
-    ("pooler.b", "pooler_b"),
-    ("classifier.w", "classifier_w"),
-    ("classifier.b", "classifier_b"),
-)
+Block = make_dataclass("Block", [(part, Tensor) for part in BLOCK_PARTS])
+Block.__module__ = __name__
+
+# the tensors around the blocks: checkpoint name -> (TransformerWeights
+# attribute, layout); a headless config (num_classes 0) has no classifier
+_EMBEDDING_TENSORS = {
+    "embeddings.token": ("tok_emb", Part(("vocab_size", "hidden"), "normal")),
+    "embeddings.position": ("pos_emb", Part(("max_positions", "hidden"), "normal")),
+    "embeddings.type": ("type_emb", Part(("type_vocab", "hidden"), "normal")),
+    "embeddings.ln_gamma": ("emb_ln_gamma", Part(("hidden",), "ones")),
+    "embeddings.ln_beta": ("emb_ln_beta", Part(("hidden",), "zeros")),
+}
+_HEAD_TENSORS = {
+    "pooler.w": ("pooler_w", Part(("hidden", "hidden"), "normal")),
+    "pooler.b": ("pooler_b", Part(("hidden",), "zeros")),
+    "classifier.w": ("classifier_w", Part(("hidden", "num_classes"), "normal")),
+    "classifier.b": ("classifier_b", Part(("num_classes",), "zeros")),
+}
+
+
+def _checkpoint_order(num_layers: int):
+    """(name, block index or None, attribute, Part) for every tensor slot."""
+    for name, (attr, part) in _EMBEDDING_TENSORS.items():
+        yield name, None, attr, part
+    for l in range(num_layers):
+        for attr, part in BLOCK_LAYOUT.items():
+            yield f"block{l}.{attr}", l, attr, part
+    for name, (attr, part) in _HEAD_TENSORS.items():
+        yield name, None, attr, part
+
+
+def tensor_layout(config: ModelConfig, head_index_map=None):
+    """(name, block index or None, Part, shape) for every tensor, in
+    checkpoint order.
+
+    Without `head_index_map` every block keeps all of its heads.
+    """
+    hmap = head_index_map or [range(config.num_heads)] * config.num_layers
+    for name, layer, _, part in _checkpoint_order(config.num_layers):
+        heads = config.num_heads if layer is None else len(hmap[layer])
+        shape = tuple(heads * config.head_dim if dim == "heads"
+                      else getattr(config, dim) for dim in part.shape)
+        if layer is None and 0 in shape:
+            continue  # num_classes 0: no classifier tensors
+        yield name, layer, part, shape
+
+
+def tensor_shapes(config: ModelConfig, head_index_map=None) -> dict:
+    """Every tensor name -> shape implied by config + kept heads."""
+    return {name: shape for name, _, _, shape in tensor_layout(config, head_index_map)}
 
 
 @dataclass
@@ -135,14 +188,10 @@ class TransformerWeights:
 
     def named_tensors(self):
         """Yield (name, tensor) in a fixed, checkpoint-stable order."""
-        for name, attr in _EMBEDDING_TENSORS:
-            yield name, getattr(self, attr)
-        for l, blk in enumerate(self.blocks):
-            for part in BLOCK_PARTS:
-                yield f"block{l}.{part}", getattr(blk, part)
-        for name, attr in _HEAD_TENSORS:
-            if getattr(self, attr) is not None:
-                yield name, getattr(self, attr)
+        for name, layer, attr, _ in _checkpoint_order(len(self.blocks)):
+            t = getattr(self if layer is None else self.blocks[layer], attr)
+            if t is not None:
+                yield name, t
 
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict,
@@ -159,8 +208,8 @@ class TransformerWeights:
                 for l in range(config.num_layers)
             ],
             head_index_map=head_index_map or [],
-            **{attr: tensors.get(name)
-               for name, attr in _EMBEDDING_TENSORS + _HEAD_TENSORS},
+            **{attr: tensors.get(name) for name, (attr, _)
+               in (_EMBEDDING_TENSORS | _HEAD_TENSORS).items()},
         )
 
     def all_tensors(self) -> list[Tensor]:
@@ -205,45 +254,22 @@ class HeadMask:
 
 
 def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
-    """Gaussian(0, init_std) projections and embeddings, identity LayerNorms."""
+    """Every tensor at its layout's init: N(0, init_std), zeros or ones."""
     rng = np.random.default_rng(seed)
-    d, d_f = config.hidden, config.ffn_dim
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, config.init_std, size=shape))
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape))
-
-    def ones(*shape):
-        return Tensor(np.ones(shape))
-
-    blocks = []
-    for _ in range(config.num_layers):
-        blocks.append(Block(
-            wq=w(d, d), bq=zeros(d), wk=w(d, d), bk=zeros(d),
-            wv=w(d, d), bv=zeros(d), wo=w(d, d), bo=zeros(d),
-            w_up=w(d, d_f), b_up=zeros(d_f), w_down=w(d_f, d), b_down=zeros(d),
-            ln1_gamma=ones(d), ln1_beta=zeros(d),
-            ln2_gamma=ones(d), ln2_beta=zeros(d),
-        ))
-    has_head = config.num_classes > 0
-    return TransformerWeights(
-        config=config,
-        tok_emb=w(config.vocab_size, d),
-        pos_emb=w(config.max_positions, d),
-        type_emb=w(config.type_vocab, d),
-        emb_ln_gamma=ones(d),
-        emb_ln_beta=zeros(d),
-        blocks=blocks,
-        pooler_w=w(d, d),
-        pooler_b=zeros(d),
-        classifier_w=w(d, config.num_classes) if has_head else None,
-        classifier_b=zeros(config.num_classes) if has_head else None,
-    )
+    tensors = {}
+    # RNG draw order: the blocks first, then the tensors around them (a
+    # stable sort on "not in a block"). Every seed's weights depend on it;
+    # test_golden_logits_pinned pins it.
+    layout = sorted(tensor_layout(config), key=lambda e: e[1] is None)
+    for name, _, part, shape in layout:
+        if part.init == "normal":
+            tensors[name] = Tensor(rng.normal(0.0, config.init_std, size=shape))
+        else:
+            tensors[name] = Tensor((np.zeros if part.init == "zeros" else np.ones)(shape))
+    return TransformerWeights.from_named(config, tensors)
 
 
-def _projected(x: Tensor, w: Tensor, b: Tensor, adapter) -> Tensor:
+def _projected(x: Tensor, w: Tensor, b: Tensor, adapter=None) -> Tensor:
     """x @ w + b, plus the low-rank adapter delta when one is attached."""
     out = ag.matmul(x, w)
     if adapter is not None:
@@ -253,15 +279,6 @@ def _projected(x: Tensor, w: Tensor, b: Tensor, adapter) -> Tensor:
             delta = ag.mul(delta, scaling)
         out = ag.add(out, delta)
     return ag.add(out, b)
-
-
-def _block_adapter(adapters, layer: int, target: str):
-    if adapters is None:
-        return None
-    pair = adapters.for_block(layer).get(target)
-    if pair is None:
-        return None
-    return pair[0], pair[1], adapters.scaling
 
 
 def forward(
@@ -315,10 +332,12 @@ def forward(
 
     for l, blk in enumerate(weights.blocks):
         kept = weights.head_index_map[l]
+        # Block part name -> (A, B, scaling) of each adapted projection
+        adapted = {} if adapters is None else adapters.by_part(l)
         if kept:
-            q = _projected(x, blk.wq, blk.bq, _block_adapter(adapters, l, "q"))
-            k = _projected(x, blk.wk, blk.bk, _block_adapter(adapters, l, "k"))
-            v = _projected(x, blk.wv, blk.bv, _block_adapter(adapters, l, "v"))
+            q = _projected(x, blk.wq, blk.bq, adapted.get("wq"))
+            k = _projected(x, blk.wk, blk.bk, adapted.get("wk"))
+            v = _projected(x, blk.wv, blk.bv, adapted.get("wv"))
             heads = []
             for j, orig_i in enumerate(kept):
                 lo, hi = j * d_h, (j + 1) * d_h
@@ -335,22 +354,17 @@ def forward(
                     head = ag.mul(head, ag.pick(mask.xi, (l, orig_i)))
                 heads.append(head)
             hcat = ag.concat_lastdim(heads)
-            mha = _projected(hcat, blk.wo, blk.bo, _block_adapter(adapters, l, "o"))
+            mha = _projected(hcat, blk.wo, blk.bo, adapted.get("wo"))
         else:
             # every head pruned: MHA reduces to its output bias
             mha = ag.add(Tensor(np.zeros((b, s, cfg.hidden))), blk.bo)
         x = ag.layernorm(ag.add(x, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
-        ff = ag.add(
-            ag.matmul(
-                ag.relu(ag.add(ag.matmul(x, blk.w_up), blk.b_up)),
-                blk.w_down,
-            ),
-            blk.b_down,
-        )
+        up = ag.relu(_projected(x, blk.w_up, blk.b_up))
+        ff = _projected(up, blk.w_down, blk.b_down)
         x = ag.layernorm(ag.add(x, ff), blk.ln2_gamma, blk.ln2_beta,
                          cfg.layernorm_eps)
 
-    pooled = ag.tanh(ag.add(ag.matmul(ag.first_token(x), weights.pooler_w),
-                            weights.pooler_b))
-    return ag.add(ag.matmul(pooled, weights.classifier_w), weights.classifier_b)
+    pooled = ag.tanh(_projected(ag.first_token(x), weights.pooler_w,
+                                weights.pooler_b))
+    return _projected(pooled, weights.classifier_w, weights.classifier_b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .model import HeadMask, TransformerWeights
+from .model import HEAD_AXES, HeadMask, TransformerWeights
 from .schema import write_json
 
 
@@ -93,14 +93,18 @@ def select_heads(importance, keep_count: int, digest: str | None = None) -> Prun
                      source_map_digest=digest or "")
 
 
-def _slice_bounds(weights: TransformerWeights, layer: int, orig_head: int):
-    """Column range of `orig_head` inside the (possibly sliced) block."""
-    kept = weights.head_index_map[layer]
-    if orig_head not in kept:
-        return None
-    j = kept.index(orig_head)
-    d_h = weights.config.head_dim
-    return j * d_h, (j + 1) * d_h
+def _check_plan(weights: TransformerWeights, plan: PrunePlan) -> None:
+    cfg = weights.config
+    if plan.keep.shape != (cfg.num_layers, cfg.num_heads):
+        raise ValueError(
+            f"plan shape {plan.keep.shape} != ({cfg.num_layers}, {cfg.num_heads})"
+        )
+
+
+def _positions(slots, head_dim: int) -> np.ndarray:
+    """Indices along a head axis covered by the heads at these slots."""
+    slots = np.asarray(slots, dtype=np.int64)
+    return (slots[:, None] * head_dim + np.arange(head_dim)).ravel()
 
 
 def apply_mask_prune(weights: TransformerWeights, plan: PrunePlan):
@@ -109,27 +113,15 @@ def apply_mask_prune(weights: TransformerWeights, plan: PrunePlan):
     Shapes are unchanged. The returned mask has 0 at pruned heads and 1
     elsewhere (gradients disabled; this is an inference artifact).
     """
-    cfg = weights.config
-    if plan.keep.shape != (cfg.num_layers, cfg.num_heads):
-        raise ValueError(
-            f"plan shape {plan.keep.shape} != ({cfg.num_layers}, {cfg.num_heads})"
-        )
+    _check_plan(weights, plan)
     out = weights.clone()
-    xi = np.ones((cfg.num_layers, cfg.num_heads))
     for l, blk in enumerate(out.blocks):
-        for h in range(cfg.num_heads):
-            if plan.keep[l, h]:
-                continue
-            xi[l, h] = 0.0
-            bounds = _slice_bounds(out, l, h)
-            if bounds is None:
-                continue  # already sliced away
-            lo, hi = bounds
-            for w, b in ((blk.wq, blk.bq), (blk.wk, blk.bk), (blk.wv, blk.bv)):
-                w.data[:, lo:hi] = 0.0
-                b.data[lo:hi] = 0.0
-            blk.wo.data[lo:hi, :] = 0.0
-    return out, HeadMask(Tensor(xi, requires_grad=False))
+        kept = out.head_index_map[l]  # heads sliced away already stay away
+        drop = _positions([j for j, h in enumerate(kept) if not plan.keep[l, h]],
+                          out.config.head_dim)
+        for part, axis in HEAD_AXES.items():
+            np.moveaxis(getattr(blk, part).data, axis, 0)[drop] = 0.0
+    return out, HeadMask(Tensor(plan.keep.astype(np.float64), requires_grad=False))
 
 
 def apply_slice_prune(weights: TransformerWeights, plan: PrunePlan) -> TransformerWeights:
@@ -140,33 +132,20 @@ def apply_slice_prune(weights: TransformerWeights, plan: PrunePlan) -> Transform
     loses the matching rows but keeps its bias whole. Kept heads preserve
     their original order. Re-applying the same plan is a no-op.
     """
-    cfg = weights.config
-    if plan.keep.shape != (cfg.num_layers, cfg.num_heads):
-        raise ValueError(
-            f"plan shape {plan.keep.shape} != ({cfg.num_layers}, {cfg.num_heads})"
-        )
+    _check_plan(weights, plan)
     out = weights.clone()
     for l, blk in enumerate(out.blocks):
-        requested = plan.kept_indices(l)
+        kept = out.head_index_map[l]
         # heads must already exist in this block (supports re-slicing)
-        new_kept = [h for h in weights.head_index_map[l] if h in requested]
-        missing = [h for h in requested if h not in weights.head_index_map[l]]
+        missing = [h for h in plan.kept_indices(l) if h not in kept]
         if missing:
             raise ValueError(
                 f"block {l}: plan keeps heads {missing} already pruned away"
             )
-        cols = []
-        for h in new_kept:
-            lo, hi = _slice_bounds(weights, l, h)
-            cols.extend(range(lo, hi))
-        cols = np.asarray(cols, dtype=np.int64)
-        for name in ("wq", "wk", "wv"):
-            w = getattr(blk, name)
-            w.data = w.data[:, cols].copy() if cols.size else w.data[:, :0].copy()
-        for name in ("bq", "bk", "bv"):
-            b = getattr(blk, name)
-            b.data = b.data[cols].copy() if cols.size else b.data[:0].copy()
-        blk.wo.data = (blk.wo.data[cols, :].copy() if cols.size
-                       else blk.wo.data[:0, :].copy())
-        out.head_index_map[l] = new_kept
+        take = _positions([j for j, h in enumerate(kept) if plan.keep[l, h]],
+                          out.config.head_dim)
+        for part, axis in HEAD_AXES.items():
+            t = getattr(blk, part)
+            t.data = np.take(t.data, take, axis=axis)
+        out.head_index_map[l] = [h for h in kept if plan.keep[l, h]]
     return out

@@ -267,6 +267,18 @@ def train(
     )
 
 
+def regime_importance(weights: TransformerWeights, config: TrainConfig,
+                      data: TokenBatch) -> ImportanceMap:
+    """Head importance over the first importance_sample_size rows of `data`,
+    in batches of the training batch size."""
+    return estimate_importance(
+        weights, data,
+        batch_size=config.batch_size,
+        epsilon=config.importance_epsilon,
+        sample_size=config.importance_sample_size,
+    )
+
+
 @dataclass
 class RegimeArtifacts:
     weights: TransformerWeights
@@ -292,13 +304,7 @@ def run_regime(
     imap = prune_plan = rank_plan = adapters = None
 
     if config.regime in ("lora", "prune_lora"):
-        sample = train_data.slice(
-            0, min(config.importance_sample_size, train_data.size)
-        )
-        imap = estimate_importance(
-            weights, sample, batch_size=config.batch_size,
-            epsilon=config.importance_epsilon,
-        )
+        imap = regime_importance(weights, config, train_data)
         if config.regime == "prune_lora":
             total = model_config.num_layers * model_config.num_heads
             keep = config.keep_count if config.keep_count is not None else total

@@ -7,6 +7,7 @@ one CPU core; everything else is seconds.
 
 import json
 import time
+from dataclasses import replace
 from functools import wraps
 
 import numpy as np
@@ -27,6 +28,7 @@ from prunelora import (
     init_weights,
     merge_adapters,
     run_regime,
+    train,
 )
 from prunelora.accounting import (
     REPORTED_PRUNE_LORA_TRAINABLE,
@@ -332,15 +334,24 @@ def test_criterion_11_training_time_ordering():
     cfg = ModelConfig(**TOY, init_std=0.1)
     spec = SyntheticTaskSpec(kind="majority-token", seq_len=9, vocab_size=16,
                              seed=0, train_size=512, eval_size=64)
-    train, eval_ = generate(spec)
-    seconds = {}
-    for regime in ("full_finetune", "lora", "prune_lora"):
-        tc = TrainConfig(regime=regime, epochs=8, learning_rate=5e-4,
-                         batch_size=32, seed=0, eval_every=8,
+    train_data, eval_ = generate(spec)
+    regimes = ("full_finetune", "lora", "prune_lora")
+    states = {}
+    for regime in regimes:
+        tc = TrainConfig(regime=regime, epochs=0, learning_rate=5e-4,
+                         batch_size=32, seed=0,
                          keep_count=12 if regime == "prune_lora" else None,
                          n_high=2)
-        rep, _ = run_regime(cfg, tc, train, eval_, log=None)
-        seconds[regime] = float(np.mean(rep.epoch_seconds[1:]))  # drop warmup
+        _, art = run_regime(cfg, tc, train_data, eval_, log=None)
+        states[regime] = (art, replace(tc, epochs=1))
+    # one epoch per regime in turn, so host speed drift hits all three alike
+    epoch_seconds = {regime: [] for regime in regimes}
+    for _ in range(8):
+        for regime in regimes:
+            art, tc = states[regime]
+            rep = train(art.weights, tc, train_data, eval_, art.adapters, log=None)
+            epoch_seconds[regime] += rep.epoch_seconds
+    seconds = {k: float(np.mean(v[1:])) for k, v in epoch_seconds.items()}  # drop warmup
     assert seconds["prune_lora"] <= seconds["lora"] <= seconds["full_finetune"]
     return ", ".join(f"{k} {v:.2f}s" for k, v in seconds.items())
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from prunelora.accounting import (
     per_head_params,
 )
 from prunelora.data import SyntheticTaskSpec, generate
+from prunelora.model import tensor_shapes
 
 REFERENCE_TOTAL = 109_482_240
 REFERENCE_PRUNED_TOTAL = 100_823_040
@@ -130,6 +133,16 @@ def test_flops_match_instrumented_forward_pruned(toy_config, toy_weights):
     rep = estimate_flops(toy_config, prune_plan=plan,
                          seq_len=single.token_ids.shape[1])
     assert rep.matmul_flops == counter.flops
+
+
+def test_closed_form_equals_layout_walk(toy_config):
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        head_map = [sorted(rng.choice(4, size=rng.integers(0, 5), replace=False))
+                    for _ in range(toy_config.num_layers)]
+        walked = sum(map(math.prod, tensor_shapes(toy_config, head_map).values()))
+        closed = count_params(toy_config, prune_plan=[len(k) for k in head_map])
+        assert closed.total_params == walked
 
 
 def test_pruning_half_the_heads_halves_mha_flops(toy_config):

@@ -5,7 +5,12 @@ import pytest
 
 from prunelora import checkpoint, count_params
 from prunelora.cli import main
-from prunelora.importance import import_importance_csv
+from prunelora.importance import (
+    csv_to_matrix,
+    import_importance_csv,
+    matrix_digest,
+    matrix_to_csv,
+)
 from prunelora.lora import RankPlan, load_adapters
 from prunelora.pruning import PrunePlan
 
@@ -98,6 +103,51 @@ def test_prune_command_and_digest_guard(config_path, tmp_path):
                "--checkpoint", other / "model.ckpt",
                "--importance", imp / "importance.csv",
                "--out", tmp_path / "x") == 2
+
+
+def _rewrite_importance(imp, matrix, digest=None):
+    """Overwrite importance.csv; record `digest` (default: its own) in the meta."""
+    text = matrix_to_csv(matrix)
+    (imp / "importance.csv").write_text(text)
+    meta = json.loads((imp / "importance_meta.json").read_text())
+    meta["digest"] = digest or matrix_digest(csv_to_matrix(text))
+    (imp / "importance_meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "out of range", "digest"])
+def test_prune_refuses_damaged_importance_map(config_path, tmp_path, capsys,
+                                              damage):
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    final = import_importance_csv(imp / "importance.csv")
+    if damage == "non-finite":
+        _rewrite_importance(imp, np.full((4, 4), np.nan))
+    elif damage == "out of range":
+        _rewrite_importance(imp, np.tile([[5.0, -3.0], [1.0, 0.0]], (2, 2)))
+    else:  # a valid map, but not the one the metadata describes
+        _rewrite_importance(imp, final[::-1], digest=matrix_digest(final))
+    out = tmp_path / "pruned"
+    assert run("prune", "--config", config_path,
+               "--checkpoint", imp / "model.ckpt",
+               "--importance", imp / "importance.csv", "--out", out) == 2
+    assert "importance.csv" in capsys.readouterr().err
+    assert not (out / "prune_plan.json").exists()
+
+
+def test_train_and_importance_estimate_in_training_batches(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", train={"batch_size": 8, "epochs": 0})
+    cfg = json.loads(path.read_text())
+    del cfg["importance"]["batch_size"]
+    path.write_text(json.dumps(cfg))
+    assert run("importance", "--config", path, "--out", tmp_path / "imp") == 0
+    assert run("train", "--config", path, "--out", tmp_path / "train") == 0
+    assert (tmp_path / "imp" / "importance.csv").read_bytes() == \
+        (tmp_path / "train" / "importance.csv").read_bytes()
+    # an importance.batch_size that disagrees is refused, not ignored
+    other = write_config(tmp_path / "d.json", train={"batch_size": 8})
+    for command in ("importance", "train"):
+        assert run(command, "--config", other, "--out", tmp_path / "x") == 2
+        assert "importance.batch_size" in capsys.readouterr().err
 
 
 def test_prune_keep_all_is_numerically_identical(config_path, tmp_path):

@@ -12,6 +12,7 @@ from prunelora import (
     init_weights,
 )
 from prunelora.autograd import Tensor
+from prunelora.model import HEAD_AXES, tensor_layout, tensor_shapes
 
 from conftest import finite_diff, rel_err
 
@@ -50,6 +51,31 @@ def test_config_reference_preset():
     assert (cfg.ffn_dim, cfg.vocab_size) == (3072, 30522)
     assert (cfg.max_positions, cfg.type_vocab) == (512, 2)
     assert cfg.head_dim == 64
+
+
+def test_init_weights_follows_the_layout(toy_config):
+    weights = init_weights(toy_config, seed=3)
+    named = list(weights.named_tensors())
+    assert [(n, t.data.shape) for n, t in named] == \
+        list(tensor_shapes(toy_config).items())
+    for (name, _, part, _), (_, t) in zip(tensor_layout(toy_config), named):
+        if part.init == "normal":
+            std = toy_config.init_std
+            assert 0.5 * std < t.data.std() < 1.5 * std, name
+        else:
+            assert np.all(t.data == (part.init == "ones")), name
+
+
+def test_layout_head_axes_and_headless_shapes():
+    assert HEAD_AXES == {"wq": 1, "bq": 0, "wk": 1, "bk": 0, "wv": 1, "bv": 0,
+                         "wo": 0}
+    cfg = ModelConfig(num_layers=2, num_heads=4, hidden=16, ffn_dim=8,
+                      vocab_size=5, max_positions=6, num_classes=0)
+    shapes = tensor_shapes(cfg, [[0, 2], []])
+    assert not any(name.startswith("classifier") for name in shapes)
+    assert shapes["block0.wq"] == (16, 8) and shapes["block0.wo"] == (8, 16)
+    assert shapes["block1.bv"] == (0,) and shapes["block1.bo"] == (16,)
+    assert shapes["block1.w_down"] == (8, 16)
 
 
 def test_golden_logits_pinned(toy_weights):
