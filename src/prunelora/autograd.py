@@ -3,12 +3,20 @@
 Tensors hold float64 numpy arrays. Every differentiable op records its
 parents and a backward closure on the output tensor; `backward(loss)`
 replays closures in exact reverse creation order, which makes gradient
-accumulation deterministic. Graphs live for one forward pass only.
+accumulation deterministic. Graphs live for one forward pass only:
+`backward` consumes the graph as it runs. Each node is detached before its
+closure runs, so once the closure has run nothing in the engine refers to
+the node, and its activations, its gradient and the arrays its closure
+captured are freed unless the caller still holds the tensor (a held tensor
+keeps its `.data` and `.grad`). A second `backward` through a consumed node
+raises `GraphConsumedError`; a fresh forward over the same leaves builds a
+new graph, and its gradients add to the leaves' `.grad` as before.
 
 Closures accumulate into parents directly and skip parents that do not
 require gradients, so frozen weights cost nothing on the backward pass.
 A parent's first gradient contribution is stored as a copy, later ones
-are added in place, so no `.grad` ever aliases another array.
+are added in place, so no `.grad` ever aliases another array. `embedding`
+scatters straight into its table's `.grad`, starting it at fresh zeros.
 
 `matmul` of a `(..., k)` tensor by a 2-D `(k, n)` weight with at least
 `FLAT_MIN_WEIGHT` entries flattens the rows to `(-1, k)` and runs one 2-D
@@ -51,6 +59,15 @@ def no_grad():
 
 class NonFiniteError(ValueError):
     """A tensor value, given or computed, is NaN or infinite."""
+
+
+class GraphConsumedError(RuntimeError):
+    """`backward` reached a node whose closure an earlier backward already ran."""
+
+
+def _consumed(g):
+    # Marks a node whose closure has run; `backward` refuses to walk past it.
+    raise GraphConsumedError("backward through a graph that was already consumed")
 
 
 class MacCounter:
@@ -327,10 +344,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def bwd(g):
         if table.requires_grad:
-            buf = np.zeros_like(table.data)
+            if table.grad is None:
+                table.grad = np.zeros(table.data.shape)
             # np.add.at applies updates sequentially: deterministic scatter-add
-            np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-            table.accumulate_grad(buf)
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
 
     return _from_op(data, (table,), bwd)
 
@@ -432,6 +449,12 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively across calls until zeroed. Recorded
     nodes run in exact reverse creation order, so accumulation order is
     fixed and repeat runs are bit-identical.
+
+    The graph is consumed as it runs: each node's closure and parent links
+    are dropped before its closure is called, so its activations, gradient
+    and captured arrays are freed as soon as nothing else holds the tensor.
+    Tensors the caller holds keep `.data` and `.grad`. Calling `backward`
+    again through any consumed node raises `GraphConsumedError`.
     """
     if loss.data.shape != ():
         raise ValueError(
@@ -448,10 +471,21 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._backward is _consumed:
+            raise GraphConsumedError(
+                "backward through a graph that was already consumed; "
+                "run a new forward pass"
+            )
         if node._backward is not None:
             recorded.append(node)
             stack.extend(node._parents)
 
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in sorted(recorded, key=lambda n: n._id, reverse=True):
-        node._backward(node.grad)
+    recorded.sort(key=lambda n: n._id)
+    while recorded:
+        node = recorded.pop()
+        fn = node._backward
+        node._backward, node._parents = _consumed, ()
+        fn(node.grad)
+        # drop the last engine references so refcounting frees the node now
+        del node, fn

@@ -98,9 +98,10 @@ def read_checkpoint(path):
         start = base + offset
         if start + size > len(data):
             raise CheckpointError(f"{path}: {name}: payload truncated")
-        raw = data[start : start + size]
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        arrays[name] = arr.reshape(shape)
+        # one copy straight out of the file bytes: writable, C-contiguous
+        # and shared with nothing (optimizers update loaded tensors in place)
+        arr = np.frombuffer(data, "<f8", count=size // 8, offset=start)
+        arrays[name] = arr.astype(np.float64).reshape(shape)
     return manifest, arrays
 
 

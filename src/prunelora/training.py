@@ -142,13 +142,29 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
+            # The update below, in place through two scratch arrays:
+            #   p -= lr*wd*p
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            # Same operations in the same order, so the same bits.
+            s1, s2 = np.empty_like(p.data), np.empty_like(p.data)
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
+                np.multiply(self.lr * self.weight_decay, p.data, out=s1)
+                p.data -= s1
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=s1)
+            m += s1
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - self.beta2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
     def zero_grad(self):
         for p in self.params:

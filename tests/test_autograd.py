@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,20 @@ def test_embedding_gradient_scatters_to_rows():
     assert np.array_equal(table.grad, expected)
 
 
+def test_embedding_table_looked_up_twice_sums_both_scatters():
+    # integer-valued table and weights, so every scattered sum is exact
+    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    first = ag.embedding(table, np.array([[1, 1], [3, 0]]))
+    second = ag.embedding(table, np.array([1, 2, 2, 2]))
+    ag.backward(ag.add(ag.tensor_sum(ag.mul(first, 2.0)),
+                       ag.tensor_sum(second)))
+    # row r gets 2 per lookup in `first` and 1 per lookup in `second`
+    counts = np.array([2.0, 2 * 2 + 1, 3, 2])
+    assert np.array_equal(table.grad, np.repeat(counts[:, None], 3, axis=1))
+    assert_grads_unaliased([table], [first, second])
+    assert not np.shares_memory(table.grad, table.data)
+
+
 def test_embedding_id_out_of_range():
     with pytest.raises(IndexError, match="id out of range"):
         ag.embedding(Tensor(np.zeros((4, 3))), np.array([4]))
@@ -381,6 +396,45 @@ def test_gradients_accumulate_until_zeroed():
     w.zero_grad()
     ag.backward(ag.tensor_sum(w))
     assert np.array_equal(w.grad, np.ones(3))
+
+
+def test_second_backward_through_consumed_graph_raises():
+    w = Tensor(np.ones(3), requires_grad=True)
+    hidden = ag.mul(w, 2.0)
+    loss = ag.tensor_sum(ag.mul(hidden, hidden))
+    ag.backward(loss)
+    assert np.array_equal(w.grad, 8 * np.ones(3))
+    with pytest.raises(ag.GraphConsumedError):
+        ag.backward(loss)
+    # a new graph on top of a consumed tensor reaches the consumed node too
+    with pytest.raises(ag.GraphConsumedError):
+        ag.backward(ag.tensor_sum(hidden))
+    # the refused calls changed no gradient, and held tensors keep theirs
+    assert np.array_equal(w.grad, 8 * np.ones(3))
+    assert np.array_equal(loss.grad, 1.0)
+    assert np.array_equal(hidden.grad, 4 * np.ones(3))
+
+
+def test_backward_frees_the_graph_as_it_runs():
+    x = Tensor(np.ones((128, 128)), requires_grad=True)
+    out = x
+    for _ in range(40):
+        out = ag.mul(out, 1.0001)
+    loss = ag.tensor_sum(out)
+    del out  # only `loss` and the leaf are held
+    tracemalloc.start()
+    try:
+        ag.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding the whole graph would reach about 42 array-sizes
+    assert peak < 8 * x.data.nbytes
+    expected = 1.0
+    for _ in range(40):
+        expected *= 1.0001
+    assert np.array_equal(x.grad, np.full((128, 128), expected))
+    assert expected == pytest.approx(1.0001**40, rel=1e-14)
 
 
 def test_no_grad_mode_matches_recorded_forward():

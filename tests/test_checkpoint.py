@@ -90,6 +90,26 @@ def test_sliced_model_roundtrip(toy_weights, tmp_path):
     assert np.array_equal(loaded.blocks[0].wq.data, sliced.blocks[0].wq.data)
 
 
+def test_loaded_tensors_are_writable_contiguous_and_separate(toy_weights,
+                                                              tmp_path):
+    # the optimizer updates loaded tensors in place
+    from prunelora import PrunePlan, apply_slice_prune
+
+    keep = np.ones((4, 4), dtype=bool)
+    keep[1, :] = False  # empty arrays too
+    sliced = apply_slice_prune(toy_weights,
+                               PrunePlan(keep=keep, keep_count=int(keep.sum())))
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, sliced)
+    _, arrays = checkpoint.read_checkpoint(path)
+    loaded = list(arrays.values())
+    assert any(a.size == 0 for a in loaded)
+    for i, a in enumerate(loaded):
+        assert a.dtype == np.float64
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for b in loaded[i + 1:])
+
+
 def _shrink_first_size(manifest):
     manifest["tensors"][0]["size"] -= 8
 

@@ -92,6 +92,30 @@ def test_adamw_single_step_matches_hand_computation():
     assert float(w.data) == pytest.approx(expected, abs=1e-12)
 
 
+def test_adamw_steps_match_the_reference_expression():
+    rng = np.random.default_rng(3)
+    shapes = [(5, 4), (7,), ()]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    lr, wd, b1, b2, eps = 1e-2, 0.1, 0.9, 0.999, 1e-8
+    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, g in enumerate(grads):
+            ref[i] -= lr * wd * ref[i]
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            assert np.array_equal(params[i].data, ref[i])
+            assert np.array_equal(params[i].grad, g)  # grad left as given
+
+
 def test_adamw_skips_parameters_without_gradients():
     w = Tensor(np.array(1.0), requires_grad=True)
     opt = AdamW([w], lr=0.1, weight_decay=0.5)
