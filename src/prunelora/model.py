@@ -2,8 +2,11 @@
 
 Post-norm residual blocks (BERT ordering): MHA -> add&norm -> FFN ->
 add&norm, first-token pooling through a tanh dense layer, then a linear
-classifier head. Every attention head output is multiplied by its mask
-scalar before concatenation, so head saliency is one backward pass away.
+classifier head. Every projection is one `autograd.linear` node (its LoRA
+adapter, when one is attached, rides inside it) and a block's attention,
+all kept heads together, is one `autograd.attention` node. Every attention
+head output is multiplied by its mask scalar before concatenation, so head
+saliency is one backward pass away.
 
 Weights may be head-pruned: per block, Q/K/V keep a column slice per kept
 head and the output projection keeps the matching row slice. The original
@@ -14,7 +17,6 @@ and the two tables around it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, make_dataclass
 from typing import NamedTuple
 
@@ -269,18 +271,6 @@ def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
     return TransformerWeights.from_named(config, tensors)
 
 
-def _projected(x: Tensor, w: Tensor, b: Tensor, adapter=None) -> Tensor:
-    """x @ w + b, plus the low-rank adapter delta when one is attached."""
-    out = ag.matmul(x, w)
-    if adapter is not None:
-        a_t, b_t, scaling = adapter
-        delta = ag.matmul(ag.matmul(x, a_t), b_t)
-        if scaling != 1.0:
-            delta = ag.mul(delta, scaling)
-        out = ag.add(out, delta)
-    return ag.add(out, b)
-
-
 def forward(
     weights: TransformerWeights,
     batch,
@@ -316,8 +306,6 @@ def forward(
             f"({cfg.num_layers}, {cfg.num_heads})"
         )
 
-    d_h = cfg.head_dim
-    inv_sqrt_dh = 1.0 / math.sqrt(d_h)
     # (b, 1, s): broadcast over query positions
     attn_bias = ((1 - att) * PAD_SCORE).astype(np.float64)[:, None, :]
 
@@ -335,36 +323,23 @@ def forward(
         # Block part name -> (A, B, scaling) of each adapted projection
         adapted = {} if adapters is None else adapters.by_part(l)
         if kept:
-            q = _projected(x, blk.wq, blk.bq, adapted.get("wq"))
-            k = _projected(x, blk.wk, blk.bk, adapted.get("wk"))
-            v = _projected(x, blk.wv, blk.bv, adapted.get("wv"))
-            heads = []
-            for j, orig_i in enumerate(kept):
-                lo, hi = j * d_h, (j + 1) * d_h
-                scores = ag.mul(
-                    ag.matmul(
-                        ag.narrow_lastdim(q, lo, hi),
-                        ag.transpose_last2(ag.narrow_lastdim(k, lo, hi)),
-                    ),
-                    inv_sqrt_dh,
-                )
-                attn = ag.softmax_lastdim(ag.add(scores, attn_bias))
-                head = ag.matmul(attn, ag.narrow_lastdim(v, lo, hi))
-                if mask is not None:
-                    head = ag.mul(head, ag.pick(mask.xi, (l, orig_i)))
-                heads.append(head)
-            hcat = ag.concat_lastdim(heads)
-            mha = _projected(hcat, blk.wo, blk.bo, adapted.get("wo"))
+            q = ag.linear(x, blk.wq, blk.bq, adapted.get("wq"))
+            k = ag.linear(x, blk.wk, blk.bk, adapted.get("wk"))
+            v = ag.linear(x, blk.wv, blk.bv, adapted.get("wv"))
+            heads = ag.attention(q, k, v, attn_bias, cfg.head_dim,
+                                 xi=None if mask is None else mask.xi,
+                                 heads=(l, kept))
+            mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
         else:
             # every head pruned: MHA reduces to its output bias
             mha = ag.add(Tensor(np.zeros((b, s, cfg.hidden))), blk.bo)
         x = ag.layernorm(ag.add(x, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
-        up = ag.relu(_projected(x, blk.w_up, blk.b_up))
-        ff = _projected(up, blk.w_down, blk.b_down)
+        up = ag.relu(ag.linear(x, blk.w_up, blk.b_up))
+        ff = ag.linear(up, blk.w_down, blk.b_down)
         x = ag.layernorm(ag.add(x, ff), blk.ln2_gamma, blk.ln2_beta,
                          cfg.layernorm_eps)
 
-    pooled = ag.tanh(_projected(ag.first_token(x), weights.pooler_w,
-                                weights.pooler_b))
-    return _projected(pooled, weights.classifier_w, weights.classifier_b)
+    pooled = ag.tanh(ag.linear(ag.first_token(x), weights.pooler_w,
+                               weights.pooler_b))
+    return ag.linear(pooled, weights.classifier_w, weights.classifier_b)

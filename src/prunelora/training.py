@@ -171,6 +171,16 @@ class AdamW:
             p.grad = None
 
 
+def _batch_logits(weights, data, adapters, batch_size):
+    """(batch, logits) for each batch of the dataset, no gradient recording."""
+    for batch in batches(data, batch_size):
+        # no_grad around the forward only: a suspended generator must not
+        # leave recording off for its caller
+        with ag.no_grad():
+            logits = forward(weights, batch, adapters=adapters)
+        yield batch, logits
+
+
 def evaluate(
     weights: TransformerWeights,
     data: TokenBatch,
@@ -180,13 +190,11 @@ def evaluate(
     """(accuracy, mean loss) over the dataset, no gradient recording."""
     correct = 0
     loss_sum = 0.0
-    with ag.no_grad():
-        for batch in batches(data, batch_size):
-            logits = forward(weights, batch, adapters=adapters)
-            pred = logits.data.argmax(axis=-1)
-            correct += int((pred == batch.labels).sum())
-            loss = ag.cross_entropy(logits, batch.labels)
-            loss_sum += float(loss.data) * batch.size
+    for batch, logits in _batch_logits(weights, data, adapters, batch_size):
+        pred = logits.data.argmax(axis=-1)
+        correct += int((pred == batch.labels).sum())
+        loss = ag.cross_entropy(logits, batch.labels)
+        loss_sum += float(loss.data) * batch.size
     return correct / data.size, loss_sum / data.size
 
 
@@ -197,11 +205,11 @@ def predict(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Logits over the dataset, no gradient recording."""
-    outs = []
-    with ag.no_grad():
-        for batch in batches(data, batch_size):
-            outs.append(forward(weights, batch, adapters=adapters).data)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate(
+        [logits.data for _, logits in
+         _batch_logits(weights, data, adapters, batch_size)],
+        axis=0,
+    )
 
 
 def train(

@@ -1,11 +1,19 @@
-import json
-import struct
+import os
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread unless the caller set otherwise, before numpy is
+# imported: a multi-threaded GEMM slows down several times over when the
+# other core is busy, and criterion 11 compares wall-clock epoch times.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from prunelora import ModelConfig, SyntheticTaskSpec, generate, init_weights
-from prunelora.checkpoint import MAGIC
+import json  # noqa: E402
+import struct  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from prunelora import ModelConfig, SyntheticTaskSpec, generate, init_weights  # noqa: E402
+from prunelora.checkpoint import MAGIC  # noqa: E402
 
 
 def finite_diff(f, tensor, h=1e-5):

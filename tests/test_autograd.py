@@ -6,6 +6,7 @@ import pytest
 
 from prunelora import autograd as ag
 from prunelora.autograd import Tensor
+from prunelora.model import PAD_SCORE
 
 from conftest import finite_diff, rel_err
 
@@ -70,23 +71,29 @@ def test_matmul_batched_gradients():
 
 @pytest.fixture(params=["flattened", "batched"])
 def matmul_path(request, monkeypatch):
-    """Run a test on both matmul paths, whatever the weight size."""
+    """`linear` with a frozen zero bias, on each of its forward GEMM shapes
+    (rows flattened to one 2-D GEMM, or numpy's batched matmul), whatever
+    the weight size."""
     limit = 0 if request.param == "flattened" else math.inf
     monkeypatch.setattr(ag, "FLAT_MIN_WEIGHT", limit)
-    return request.param
+
+    def project(a, b):
+        return ag.linear(a, b, Tensor(np.zeros(b.data.shape[-1])))
+
+    return project
 
 
-def check_matmul_gradients(a, b):
+def check_matmul_gradients(a, b, product):
     """Forward equals np.matmul; trainable inputs match finite differences."""
     rng = np.random.default_rng(0)
-    out = ag.matmul(a, b)
+    out = product(a, b)
     assert np.abs(out.data - np.matmul(a.data, b.data)).max() < 1e-12
     w = Tensor(rng.uniform(-1, 1, out.data.shape))
     ag.backward(scalar_loss(out, w))
 
     def f():
         with ag.no_grad():
-            return float(scalar_loss(ag.matmul(a, b), w).data)
+            return float(scalar_loss(product(a, b), w).data)
 
     for t in (a, b):
         if t.requires_grad:
@@ -100,6 +107,7 @@ def test_matmul_4d_by_2d_gradients(matmul_path):
     check_matmul_gradients(
         Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)), requires_grad=True),
         Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True),
+        matmul_path,
     )
 
 
@@ -109,6 +117,7 @@ def test_matmul_3d_by_2d_one_side_trainable(matmul_path, trainable):
     check_matmul_gradients(
         Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=trainable == "a"),
         Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=trainable == "b"),
+        matmul_path,
     )
 
 
@@ -119,14 +128,14 @@ def test_matmul_non_contiguous_inputs(matmul_path):
     a = Tensor(x.swapaxes(0, 1), requires_grad=True)
     b = Tensor(w.T, requires_grad=True)
     assert not a.data.flags.c_contiguous and not b.data.flags.c_contiguous
-    check_matmul_gradients(a, b)
+    check_matmul_gradients(a, b, matmul_path)
 
 
 def test_matmul_empty_inner_dimension(matmul_path):
     # numpy accepts empty products; the flattened path must reshape them too
     a = Tensor(np.zeros((2, 3, 0)), requires_grad=True)
     b = Tensor(np.zeros((0, 4)), requires_grad=True)
-    out = ag.matmul(a, b)
+    out = matmul_path(a, b)
     assert out.data.shape == (2, 3, 4) and not out.data.any()
     ag.backward(ag.tensor_sum(out))
     assert a.grad.shape == (2, 3, 0) and b.grad.shape == (0, 4)
@@ -176,11 +185,21 @@ def test_mul_same_tensor_twice():
     assert_grads_unaliased([x], [out])
 
 
+def test_relu_output_and_gradient():
+    x = Tensor(np.array([-0.0, 0.0, -1.0, 2.0, -5e-324, 5e-324]),
+               requires_grad=True)
+    out = ag.relu(x)
+    # +0.0 wherever the input is not positive, signed zeros included
+    assert out.data.tobytes() == np.array([0.0, 0.0, 0.0, 2.0, 0.0, 5e-324]).tobytes()
+    ag.backward(scalar_loss(out, np.arange(1.0, 7.0)))
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 4.0, 0.0, 6.0])
+
+
 def test_tensor_feeding_two_branches(matmul_path):
     rng = np.random.default_rng(5)
     x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
     wmat = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-    h = ag.matmul(x, wmat)
+    h = matmul_path(x, wmat)
     left = ag.reshape(h, (6, 4))  # a view-shaped backward into h
     right = ag.add(h, x)
     loss = ag.add(ag.tensor_sum(left), ag.tensor_sum(right))
@@ -194,36 +213,48 @@ def test_tensor_feeding_two_branches(matmul_path):
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax, through attention
+
+
+def attention_weights(bias, q=None, k=None):
+    """The softmax weights of one attention head of width s: with v the
+    identity over keys, output row i is softmax(q_i . k / sqrt(s) + bias_i)."""
+    b, s, _ = bias.shape
+    zeros = Tensor(np.zeros((b, s, s)))
+    v = Tensor(np.broadcast_to(np.eye(s), (b, s, s)).copy())
+    return ag.attention(zeros if q is None else q, zeros if k is None else k,
+                        v, bias, s)
 
 
 def test_softmax_uniform():
-    out = ag.softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+    out = attention_weights(np.zeros((1, 3, 3)))
+    assert np.allclose(out.data, 1 / 3, atol=1e-15)
 
 
 def test_softmax_extreme_values_stay_finite():
-    out = ag.softmax_lastdim(Tensor([1000.0, 0.0]))
+    out = attention_weights(np.array([[[1000.0, 0.0], [0.0, 1000.0]]]))
     assert np.all(np.isfinite(out.data))
-    assert out.data[0] == pytest.approx(1.0)
-    assert out.data[1] == 0.0
+    assert out.data[0, 0, 0] == pytest.approx(1.0)
+    assert out.data[0, 0, 1] == 0.0
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
-    out = ag.softmax_lastdim(Tensor(rng.uniform(-5, 5, (4, 7))))
+    out = attention_weights(rng.uniform(-5, 5, (4, 7, 7)))
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (2, 5)))
-    ag.backward(scalar_loss(ag.softmax_lastdim(x), w))
+    x = Tensor(rng.uniform(-1, 1, (2, 5, 5)), requires_grad=True)
+    k = Tensor(rng.uniform(-1, 1, (2, 5, 5)))
+    bias = rng.uniform(-1, 1, (2, 5, 5))
+    w = Tensor(rng.uniform(-1, 1, (2, 5, 5)))
+    ag.backward(scalar_loss(attention_weights(bias, x, k), w))
 
     def f():
         with ag.no_grad():
-            return float(scalar_loss(ag.softmax_lastdim(x), w).data)
+            return float(scalar_loss(attention_weights(bias, x, k), w).data)
 
     assert rel_err(finite_diff(f, x), x.grad) < 1e-6
 
@@ -342,25 +373,165 @@ def test_embedding_id_out_of_range():
         ag.embedding(Tensor(np.zeros((4, 3))), np.array([4]))
 
 
-def test_pick_extracts_scalar_and_scatters():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = ag.mul(ag.pick(x, (1, 2)), 3.0)
-    assert float(out.data) == 15.0
-    ag.backward(out)
-    expected = np.zeros((2, 3))
-    expected[1, 2] = 3.0
-    assert np.array_equal(x.grad, expected)
+# ---------------------------------------------------------------------------
+# fused block ops
 
 
-def test_concat_and_narrow_roundtrip_gradients():
-    rng = np.random.default_rng(7)
-    a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
-    cat = ag.concat_lastdim([a, b])
-    assert cat.data.shape == (2, 5)
-    ag.backward(ag.tensor_sum(ag.narrow_lastdim(cat, 2, 4)))
-    assert np.array_equal(a.grad, [[0, 0, 1], [0, 0, 1]])
-    assert np.array_equal(b.grad, [[1, 0], [1, 0]])
+def check_gradients(build, inputs):
+    """Every trainable input of `build()` matches finite differences; frozen
+    inputs get no gradient."""
+    rng = np.random.default_rng(0)
+    out = build()
+    w = Tensor(rng.uniform(-1, 1, out.data.shape))
+    ag.backward(scalar_loss(out, w))
+
+    def f():
+        with ag.no_grad():
+            return float(scalar_loss(build(), w).data)
+
+    for t in inputs:
+        if t.requires_grad:
+            assert rel_err(finite_diff(f, t), t.grad) < 1e-6
+        else:
+            assert t.grad is None
+
+
+def linear_inputs(trainable):
+    """x (2, 3, 4), W (4, 5), b (5,) and a rank-2 adapter pair A, B."""
+    rng = np.random.default_rng(20)
+    shapes = {"x": (2, 3, 4), "W": (4, 5), "b": (5,), "A": (4, 2), "B": (2, 5)}
+    return {name: Tensor(rng.uniform(-1, 1, shape),
+                         requires_grad=name in trainable)
+            for name, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("trainable", [("x", "W", "b", "A", "B"), ("x",),
+                                       ("W", "b"), ("A", "B"), ("A",), ("B",)])
+@pytest.mark.parametrize("scaling", [1.0, 2.5])
+def test_linear_with_adapter_gradients(matmul_path, trainable, scaling):
+    t = linear_inputs(trainable)
+    adapter = (t["A"], t["B"], scaling)
+    expected = (t["x"].data @ t["W"].data
+                + scaling * (t["x"].data @ t["A"].data) @ t["B"].data
+                + t["b"].data)
+    out = ag.linear(t["x"], t["W"], t["b"], adapter)
+    assert np.abs(out.data - expected).max() < 1e-12
+    check_gradients(lambda: ag.linear(t["x"], t["W"], t["b"], adapter),
+                    list(t.values()))
+
+
+def test_linear_2d_input_gradients():
+    t = linear_inputs(("x", "W", "b", "A", "B"))
+    x = Tensor(t["x"].data[0], requires_grad=True)
+    adapter = (t["A"], t["B"], 0.5)
+    check_gradients(lambda: ag.linear(x, t["W"], t["b"], adapter),
+                    [x, t["W"], t["b"], t["A"], t["B"]])
+
+
+def test_linear_zero_b_adapter_is_bit_identical(matmul_path):
+    t = linear_inputs(())
+    t["B"].data[...] = 0.0
+    plain = ag.linear(t["x"], t["W"], t["b"])
+    adapted = ag.linear(t["x"], t["W"], t["b"], (t["A"], t["B"], 2.5))
+    assert plain.data.tobytes() == adapted.data.tobytes()
+
+
+def test_linear_shape_errors():
+    t = linear_inputs(())
+    with pytest.raises(ValueError, match="inner dimensions"):
+        ag.linear(t["x"], Tensor(np.zeros((3, 5))), t["b"])
+    with pytest.raises(ValueError, match="bias shape"):
+        ag.linear(t["x"], t["W"], Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match="adapter shapes"):
+        ag.linear(t["x"], t["W"], t["b"], (t["A"], Tensor(np.zeros((3, 5))), 1.0))
+
+
+def attention_inputs(trainable, kept=(0, 2)):
+    """q, k, v of shape (2, 4, len(kept) * 3), a (2, 3) head mask, and a
+    key bias with PAD_SCORE on the last key of the second row."""
+    rng = np.random.default_rng(21)
+    shape = (2, 4, 3 * len(kept))
+    t = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=name in trainable)
+         for name in ("q", "k", "v")}
+    t["xi"] = Tensor(rng.uniform(0.5, 1.5, (2, 3)), requires_grad="xi" in trainable)
+    bias = np.zeros((2, 1, 4))
+    bias[1, 0, -1] = PAD_SCORE
+    return t, bias
+
+
+def attention_reference(t, bias, kept, layer=1, d_h=3):
+    heads = []
+    for j, orig in enumerate(kept):
+        cols = slice(j * d_h, (j + 1) * d_h)
+        scores = (t["q"].data[..., cols] @ t["k"].data[..., cols].swapaxes(1, 2)
+                  / math.sqrt(d_h) + bias)
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        heads.append(p @ t["v"].data[..., cols] * t["xi"].data[layer, orig])
+    return np.concatenate(heads, axis=-1)
+
+
+@pytest.mark.parametrize("trainable", [("q", "k", "v", "xi"), ("q",), ("k",),
+                                       ("v",), ("xi",), ("k", "xi")])
+@pytest.mark.parametrize("kept", [(0, 2), (1,)])
+def test_attention_gradients(trainable, kept):
+    t, bias = attention_inputs(trainable, kept)
+
+    def build():
+        return ag.attention(t["q"], t["k"], t["v"], bias, 3, xi=t["xi"],
+                            heads=(1, list(kept)))
+
+    assert np.abs(build().data - attention_reference(t, bias, kept)).max() < 1e-12
+    check_gradients(build, list(t.values()))
+    if t["xi"].grad is not None:
+        # only the kept heads of the given layer carry a mask gradient
+        touched = np.zeros((2, 3), dtype=bool)
+        touched[1, list(kept)] = True
+        assert not t["xi"].grad[~touched].any()
+
+
+def test_attention_without_mask_and_shared_inputs():
+    # self-attention straight on x: q, k and v are one tensor
+    t, bias = attention_inputs(())
+    x = Tensor(t["q"].data, requires_grad=True)
+    t["xi"].data[...] = 1.0
+    out = ag.attention(x, x, x, bias, 3)
+    assert np.abs(out.data - attention_reference(
+        {"q": x, "k": x, "v": x, "xi": t["xi"]}, bias, (0, 1))).max() < 1e-12
+    check_gradients(lambda: ag.attention(x, x, x, bias, 3), [x])
+
+
+def test_padded_keys_get_no_attention():
+    t, bias = attention_inputs(("v",))
+    out = ag.attention(t["q"], t["k"], t["v"], bias, 3)
+    ag.backward(ag.tensor_sum(out))
+    # the padded key's value feeds no output, so it gets no gradient
+    assert not t["v"].grad[1, -1].any() and t["v"].grad[0, -1].all()
+
+
+def test_attention_shape_errors():
+    t, bias = attention_inputs(())
+    with pytest.raises(ValueError, match="multiple of d_h"):
+        ag.attention(t["q"], t["k"], t["v"], bias, 4)
+    with pytest.raises(ValueError, match="kept heads"):
+        ag.attention(t["q"], t["k"], t["v"], bias, 3, heads=(0, [0]))
+    with pytest.raises(ValueError, match="needs `heads`"):
+        ag.attention(t["q"], t["k"], t["v"], bias, 3, xi=t["xi"])
+    with pytest.raises(ValueError, match="share one"):
+        ag.attention(t["q"], t["k"], Tensor(np.zeros((2, 4, 3))), bias, 3)
+
+
+def test_mac_counter_counts_fused_ops():
+    t = linear_inputs(())
+    a, bias = attention_inputs(())
+    with ag.count_macs() as counter:
+        ag.linear(t["x"], t["W"], t["b"], (t["A"], t["B"], 2.0))
+    # x @ W, then x @ A and (x A) @ B over 6 rows
+    assert counter.macs == 6 * 4 * 5 + 6 * 4 * 2 + 6 * 2 * 5
+    with ag.count_macs() as counter:
+        ag.attention(a["q"], a["k"], a["v"], bias, 3)
+    # per head: scores (2 x 4 x 4) x 3, then (2 x 4 x 3) x 4
+    assert counter.macs == 2 * (2 * 4 * 4 * 3 + 2 * 4 * 3 * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +608,24 @@ def test_backward_frees_the_graph_as_it_runs():
     assert expected == pytest.approx(1.0001**40, rel=1e-14)
 
 
+def test_backward_hands_fresh_gradients_over_without_a_copy():
+    x = Tensor(np.ones((128, 128)), requires_grad=True)
+    out = x
+    for _ in range(40):
+        out = ag.mul(out, 1.0001)
+    loss = ag.tensor_sum(out)
+    del out
+    tracemalloc.start()
+    try:
+        ag.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each step holds the upstream gradient and the product it hands on;
+    # a copy of that product would make three array-sizes
+    assert peak < 2.5 * x.data.nbytes
+
+
 def test_no_grad_mode_matches_recorded_forward():
     rng = np.random.default_rng(10)
     a = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
@@ -461,7 +650,7 @@ def test_determinism_bit_identical_runs():
         rng = np.random.default_rng(11)
         a = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-        out = ag.softmax_lastdim(ag.matmul(ag.relu(ag.matmul(a, b)), b))
+        out = ag.tanh(ag.matmul(ag.relu(ag.matmul(a, b)), b))
         ag.backward(ag.tensor_sum(ag.mul(out, out)))
         return out.data.copy(), a.grad.copy(), b.grad.copy()
 

