@@ -194,8 +194,10 @@ def _write_importance_meta(out: Path, imap, **extra) -> None:
 
 
 def _load_model_checkpoint(path):
-    weights, manifest = checkpoint.load_model(path)
-    return weights, manifest, checkpoint.file_digest(path)
+    """Weights and the file's sha256, for the commands that record or check
+    `model_digest`; the others call checkpoint.load_model alone."""
+    weights, _ = checkpoint.load_model(path)
+    return weights, checkpoint.file_digest(path)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def cmd_importance(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
     if args.checkpoint:
-        weights, _, model_digest = _load_model_checkpoint(args.checkpoint)
+        weights, model_digest = _load_model_checkpoint(args.checkpoint)
     else:
         weights = init_weights(rc.model, seed=rc.seed)
         ckpt_path = out / "model.ckpt"
@@ -228,7 +230,7 @@ def cmd_prune(args) -> int:
     out = _outdir(args, rc)
     if rc.train.keep_count is None:
         raise ConfigError("config has no prune.keep_count")
-    weights, _, model_digest = _load_model_checkpoint(args.checkpoint)
+    weights, model_digest = _load_model_checkpoint(args.checkpoint)
 
     imp_csv = Path(args.importance)
     meta_path = imp_csv.with_name("importance_meta.json")
@@ -291,7 +293,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    base, manifest, _ = _load_model_checkpoint(args.base)
+    base, manifest = checkpoint.load_model(args.base)
     if manifest.get("merged_adapters"):
         print("error: base checkpoint already has adapters merged in; "
               "merging twice would double the delta", file=sys.stderr)
@@ -310,7 +312,7 @@ def cmd_merge(args) -> int:
 def cmd_eval(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
-    weights, _, _ = _load_model_checkpoint(args.checkpoint)
+    weights, _ = checkpoint.load_model(args.checkpoint)
     adapters = None
     if args.adapters:
         adapters = lora.load_adapters(args.adapters, weights=weights)
@@ -387,7 +389,7 @@ def cmd_report(args) -> int:
 
     checkpoints = [] if args.dry_run else (args.checkpoint or [])
     for ckpt_path in checkpoints:
-        weights, manifest, _ = _load_model_checkpoint(ckpt_path)
+        weights, _ = checkpoint.load_model(ckpt_path)
         walked = weights.num_params()
         rep = accounting.count_params(
             weights.config,

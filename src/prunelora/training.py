@@ -121,8 +121,24 @@ def freeze_policy(
     return trainable
 
 
+# Elements per chunk of AdamW.step: its two float64 scratch arrays of this
+# size (256 KiB each) stay in cache while a large tensor streams through.
+ADAMW_CHUNK = 1 << 15
+
+
 class AdamW:
-    """Adam with decoupled weight decay applied before the moment update."""
+    """Adam with decoupled weight decay applied before the moment update.
+
+    `step` updates each parameter in place through two scratch arrays. A
+    C-contiguous tensor (with a C-contiguous gradient) of more than
+    `ADAMW_CHUNK` elements streams through two arrays of `ADAMW_CHUNK`
+    elements, allocated once per call, in chunks of its flat view; any
+    other tensor is updated whole through scratch of its own size. Every
+    operation is elementwise and runs in the same order on every chunk,
+    so the result has the same bits however the tensor is split. The
+    moments start as `np.zeros`, so large ones are mapped lazily rather
+    than filled.
+    """
 
     def __init__(self, params, lr, weight_decay=0.0,
                  beta1=0.9, beta2=0.999, eps=1e-8):
@@ -131,40 +147,58 @@ class AdamW:
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        n = ADAMW_CHUNK
+        scratch = None
+        for param, m, v in zip(self.params, self.m, self.v):
+            p, g = param.data, param.grad
             if g is None:
                 continue
-            # The update below, in place through two scratch arrays:
-            #   p -= lr*wd*p
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-            #   p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-            # Same operations in the same order, so the same bits.
-            s1, s2 = np.empty_like(p.data), np.empty_like(p.data)
-            if self.weight_decay:
-                np.multiply(self.lr * self.weight_decay, p.data, out=s1)
-                p.data -= s1
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=s1)
-            m += s1
-            v *= self.beta2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - self.beta2
-            v += s1
-            np.divide(m, bc1, out=s1)
-            s1 *= self.lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p.data -= s1
+            # reshape(-1) of a non-contiguous array is a copy, and an update
+            # to it would be lost: such a tensor is updated whole
+            if p.size > n and p.flags.c_contiguous and g.flags.c_contiguous:
+                if scratch is None:
+                    scratch = np.empty(n), np.empty(n)
+                s1, s2 = scratch
+                p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+                for i in range(0, p.size, n):
+                    c = slice(i, i + n)
+                    k = min(n, p.size - i)
+                    self._update(p[c], g[c], m[c], v[c], s1[:k], s2[:k],
+                                 bc1, bc2)
+            else:
+                self._update(p, g, m, v, np.empty_like(p), np.empty_like(p),
+                             bc1, bc2)
+
+    def _update(self, p, g, m, v, s1, s2, bc1, bc2):
+        """The update below, in place on p, m and v through s1 and s2:
+            p -= lr*wd*p
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        """
+        if self.weight_decay:
+            np.multiply(self.lr * self.weight_decay, p, out=s1)
+            p -= s1
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - self.beta2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
 
     def zero_grad(self):
         for p in self.params:

@@ -238,6 +238,48 @@ def test_merge_fresh_adapters_is_identity_and_double_merge_refused(
                "--out", tmp_path / "again.ckpt") == 2
 
 
+def test_merge_eval_report_do_not_hash_checkpoints(config_path, tmp_path,
+                                                   monkeypatch):
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", config_path, "--out", run_dir) == 0
+
+    def merge_eval_report(out):
+        merged = out / "merged.ckpt"
+        assert run("merge", "--base", run_dir / "model.ckpt",
+                   "--adapters", run_dir / "adapters.ckpt", "--out", out) == 0
+        assert run("eval", "--config", config_path, "--out", out,
+                   "--checkpoint", merged,
+                   "--dump-logits", out / "logits.csv") == 0
+        assert run("report", "--config", config_path, "--out", out,
+                   "--checkpoint", merged) == 0
+
+    def no_digest(path):
+        raise AssertionError(f"{path} was hashed")
+
+    merge_eval_report(tmp_path / "hashing")
+    monkeypatch.setattr(checkpoint, "file_digest", no_digest)
+    merge_eval_report(tmp_path / "no_hashing")
+    names = sorted(p.name for p in (tmp_path / "hashing").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "no_hashing").iterdir())
+    for name in names:
+        assert ((tmp_path / "hashing" / name).read_bytes()
+                == (tmp_path / "no_hashing" / name).read_bytes()), name
+
+    # prune still hashes the model it slices, and refuses a stale map
+    with pytest.raises(AssertionError, match="was hashed"):
+        run("prune", "--config", config_path,
+            "--checkpoint", run_dir / "model.ckpt",
+            "--importance", run_dir / "importance.csv",
+            "--out", tmp_path / "x")
+    monkeypatch.undo()
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    assert run("prune", "--config", config_path,
+               "--checkpoint", run_dir / "model.ckpt",
+               "--importance", imp / "importance.csv",
+               "--out", tmp_path / "x") == 2
+
+
 ADAPTER_MANIFEST_DAMAGE = {
     "no rank_plan": lambda m: m.pop("rank_plan"),
     "no seed": lambda m: m.pop("seed"),

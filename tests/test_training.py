@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prunelora import autograd as ag
+from prunelora import training
 from prunelora import (
     SyntheticTaskSpec,
     forward,
@@ -116,6 +118,103 @@ def test_adamw_steps_match_the_reference_expression():
             ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
             assert np.array_equal(params[i].data, ref[i])
             assert np.array_equal(params[i].grad, g)  # grad left as given
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """AdamW.step streams tensors in chunks of 8 elements."""
+    monkeypatch.setattr(training, "ADAMW_CHUNK", 8)
+    return 8
+
+
+def transposed(a):
+    """The same values as `a` in a non-contiguous (transposed) layout."""
+    return np.ascontiguousarray(a.T).T
+
+
+def check_adamw_against_reference(params, wd, grad_layout=None, steps=3):
+    """Run `steps` AdamW steps and compare every parameter, bit for bit, with
+    the reference expression. grad_layout[i], if given, re-lays out each
+    gradient of params[i] (e.g. `transposed`)."""
+    rng = np.random.default_rng(11)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    layout = grad_layout or [None] * len(params)
+    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(p.data.shape) for p in params]
+    v = [np.zeros(p.data.shape) for p in params]
+    for t in range(1, steps + 1):
+        grads = [rng.normal(size=p.data.shape) for p in params]
+        grads = [f(g) if f else g for f, g in zip(layout, grads)]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, g in enumerate(grads):
+            ref[i] -= lr * wd * ref[i]
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            assert np.array_equal(params[i].data, ref[i]), (t, i)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_adamw_chunked_step_matches_the_reference_expression(small_chunk, wd):
+    rng = np.random.default_rng(4)
+    # below, at and above one chunk, a 3-D tensor over several chunks, and
+    # a scalar
+    shapes = [(small_chunk - 1,), (small_chunk,), (small_chunk + 5,),
+              (3, 4, 5), ()]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    check_adamw_against_reference(params, wd)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+@pytest.mark.parametrize("shape", [(12, 5), (2, 3)], ids=["large", "small"])
+def test_adamw_updates_a_non_contiguous_parameter_in_place(small_chunk, wd,
+                                                           shape):
+    rng = np.random.default_rng(5)
+    p = Tensor(rng.normal(size=shape), requires_grad=True)
+    p.data = p.data.T  # a transposed view
+    assert not p.data.flags.c_contiguous
+    data = p.data
+    check_adamw_against_reference([p], wd)
+    assert p.data is data
+
+
+def test_adamw_non_contiguous_gradient(small_chunk):
+    rng = np.random.default_rng(6)
+    params = [Tensor(rng.normal(size=(5, 12)), requires_grad=True),
+              Tensor(rng.normal(size=(13,)), requires_grad=True)]
+    check_adamw_against_reference(params, 0.1,
+                                  grad_layout=[transposed, None])
+
+
+@pytest.mark.parametrize("others", [[], [(3,)], [(20,)]],
+                         ids=["alone", "small", "chunked"])
+def test_adamw_size_zero_parameter(small_chunk, others):
+    # a sliced block that lost every head keeps (hidden, 0) projections
+    rng = np.random.default_rng(7)
+    params = [Tensor(np.zeros((4, 0)), requires_grad=True)]
+    params += [Tensor(rng.normal(size=s), requires_grad=True) for s in others]
+    check_adamw_against_reference(params, 0.1)
+    assert params[0].data.shape == (4, 0)
+
+
+def test_adamw_step_scratch_stays_within_three_chunks():
+    size = 8 * training.ADAMW_CHUNK
+    rng = np.random.default_rng(8)
+    p = Tensor(rng.normal(size=(size // 64, 64)), requires_grad=True)
+    p.grad = rng.normal(size=p.data.shape)
+    opt = AdamW([p], lr=1e-3, weight_decay=0.01)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two scratch arrays the size of the tensor would make 16 chunk-sizes
+    assert peak < 3 * training.ADAMW_CHUNK * 8
 
 
 def test_adamw_skips_parameters_without_gradients():
