@@ -193,13 +193,6 @@ def _write_importance_meta(out: Path, imap, **extra) -> None:
     })
 
 
-def _load_model_checkpoint(path):
-    """Weights and the file's sha256, for the commands that record or check
-    `model_digest`; the others call checkpoint.load_model alone."""
-    weights, _ = checkpoint.load_model(path)
-    return weights, checkpoint.file_digest(path)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -207,13 +200,15 @@ def _load_model_checkpoint(path):
 def cmd_importance(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
+    # `model_digest` (the file's sha256) is hashed in the pass that reads
+    # or writes the checkpoint; merge, eval and report hash nothing
     if args.checkpoint:
-        weights, model_digest = _load_model_checkpoint(args.checkpoint)
+        weights, _, model_digest = checkpoint.load_model(args.checkpoint,
+                                                         digest=True)
     else:
         weights = init_weights(rc.model, seed=rc.seed)
-        ckpt_path = out / "model.ckpt"
-        checkpoint.save_model(ckpt_path, weights)
-        model_digest = checkpoint.file_digest(ckpt_path)
+        model_digest = checkpoint.save_model(out / "model.ckpt", weights,
+                                             digest=True)
     train_data, _ = load_datasets(rc, out)
     imap = training.regime_importance(weights, rc.train, train_data)
     importance.export_importance(imap, out / "importance.csv", out / "importance.ppm")
@@ -230,7 +225,8 @@ def cmd_prune(args) -> int:
     out = _outdir(args, rc)
     if rc.train.keep_count is None:
         raise ConfigError("config has no prune.keep_count")
-    weights, model_digest = _load_model_checkpoint(args.checkpoint)
+    weights, _, model_digest = checkpoint.load_model(args.checkpoint,
+                                                     digest=True)
 
     imp_csv = Path(args.importance)
     meta_path = imp_csv.with_name("importance_meta.json")

@@ -228,7 +228,7 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
         plan = RankPlan.from_dict(manifest["rank_plan"])
         seed = int(manifest["seed"])
         scaling = float(manifest["scaling"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(1e400)
         raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
     pairs = []
     for l, r in enumerate(plan.block_rank):

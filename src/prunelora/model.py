@@ -49,20 +49,21 @@ class ModelConfig(Record):
         return self.hidden // self.num_heads
 
     def __post_init__(self):
+        for name in ("num_layers", "num_heads", "hidden", "ffn_dim", "vocab_size",
+                     "max_positions", "type_vocab"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.hidden % self.num_heads != 0:
             raise ValueError(
                 f"hidden ({self.hidden}) must be divisible by "
                 f"num_heads ({self.num_heads})"
             )
-        for name in ("num_layers", "num_heads", "hidden", "ffn_dim", "vocab_size",
-                     "max_positions", "type_vocab"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
         if self.num_classes < 0:
             raise ValueError("num_classes must be >= 0 (0 = no classifier head)")
-        if self.layernorm_eps <= 0:
+        # `not x > 0` also rejects NaN
+        if not self.layernorm_eps > 0:
             raise ValueError("layernorm_eps must be positive")
-        if self.init_std <= 0:
+        if not self.init_std > 0:
             raise ValueError("init_std must be positive")
 
     @classmethod

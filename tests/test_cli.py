@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prunelora import checkpoint, count_params
+from prunelora import checkpoint, count_params, lora
 from prunelora.cli import main
 from prunelora.importance import (
     csv_to_matrix,
@@ -253,31 +254,57 @@ def test_merge_eval_report_do_not_hash_checkpoints(config_path, tmp_path,
         assert run("report", "--config", config_path, "--out", out,
                    "--checkpoint", merged) == 0
 
-    def no_digest(path):
-        raise AssertionError(f"{path} was hashed")
+    merge_eval_report(tmp_path / "plain")
 
-    merge_eval_report(tmp_path / "hashing")
-    monkeypatch.setattr(checkpoint, "file_digest", no_digest)
-    merge_eval_report(tmp_path / "no_hashing")
-    names = sorted(p.name for p in (tmp_path / "hashing").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "no_hashing").iterdir())
+    # every digest the CLI asks of the checkpoint reader or writer, and
+    # no second pass over a file through file_digest
+    digests = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def asks_for_digest(path, *args, digest=False, **kwargs):
+            if digest:
+                digests.append((name, Path(path).name))
+            return original(path, *args, digest=digest, **kwargs)
+
+        monkeypatch.setattr(module, name, asks_for_digest)
+
+    def no_file_digest(path):
+        raise AssertionError(f"{path} was hashed a second time")
+
+    for module in (checkpoint, lora):
+        spy(module, "read_checkpoint")
+        spy(module, "write_checkpoint")
+    monkeypatch.setattr(checkpoint, "file_digest", no_file_digest)
+
+    merge_eval_report(tmp_path / "spied")
+    assert digests == []
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "spied").iterdir())
     for name in names:
-        assert ((tmp_path / "hashing" / name).read_bytes()
-                == (tmp_path / "no_hashing" / name).read_bytes()), name
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "spied" / name).read_bytes()), name
 
-    # prune still hashes the model it slices, and refuses a stale map
-    with pytest.raises(AssertionError, match="was hashed"):
-        run("prune", "--config", config_path,
-            "--checkpoint", run_dir / "model.ckpt",
-            "--importance", run_dir / "importance.csv",
-            "--out", tmp_path / "x")
-    monkeypatch.undo()
+    # prune hashes the model it slices as it reads it: it accepts a map
+    # computed from that model and refuses one computed from another
     imp = tmp_path / "imp"
-    assert run("importance", "--config", config_path, "--out", imp) == 0
+    assert run("importance", "--config", config_path, "--out", imp,
+               "--checkpoint", run_dir / "model.ckpt") == 0
+    assert digests == [("read_checkpoint", "model.ckpt")]
     assert run("prune", "--config", config_path,
                "--checkpoint", run_dir / "model.ckpt",
                "--importance", imp / "importance.csv",
-               "--out", tmp_path / "x") == 2
+               "--out", tmp_path / "x") == 0
+    assert digests == [("read_checkpoint", "model.ckpt")] * 2
+    fresh = tmp_path / "fresh"
+    assert run("importance", "--config", config_path, "--out", fresh) == 0
+    assert digests[2:] == [("write_checkpoint", "model.ckpt")]
+    assert run("prune", "--config", config_path,
+               "--checkpoint", run_dir / "model.ckpt",
+               "--importance", fresh / "importance.csv",
+               "--out", tmp_path / "y") == 2
+    assert digests[3:] == [("read_checkpoint", "model.ckpt")]
 
 
 ADAPTER_MANIFEST_DAMAGE = {
@@ -286,6 +313,7 @@ ADAPTER_MANIFEST_DAMAGE = {
     "no scaling": lambda m: m.pop("scaling"),
     "rank_plan a list": lambda m: m.update(rank_plan=[1]),
     "seed null": lambda m: m.update(seed=None),
+    "seed inf": lambda m: m.update(seed=1e400),
 }
 
 

@@ -50,6 +50,16 @@ def test_config_requires_divisible_hidden():
         ModelConfig(num_heads=3, hidden=64)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_heads", 0), ("hidden", 0), ("num_layers", 0),
+    ("layernorm_eps", float("nan")), ("init_std", float("nan")),
+])
+def test_config_rejects_zero_heads_and_nan_scales(field, value):
+    # num_heads 0 is checked before `hidden % num_heads` divides by it
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        ModelConfig(**{field: value})
+
+
 def test_config_reference_preset():
     cfg = ModelConfig.reference()
     assert (cfg.num_layers, cfg.num_heads, cfg.hidden) == (12, 12, 768)
