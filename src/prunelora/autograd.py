@@ -31,9 +31,11 @@ A transformer block is built from two fused ops, one graph node each:
   attention of every kept head of a block, each head optionally scaled by
   its head-mask scalar.
 
-Their backward passes are written out by hand (see each op). `mul`,
-`matmul` (numpy's broadcasting product), `reshape` and `tensor_sum` have
-no caller in the package; the tests build small graphs from them.
+Their backward passes are written out by hand (see each op). Both accept
+width 0, so a block that lost every head needs no op of its own. The
+other ops are the ones the model runs between them: `add`, `relu`,
+`tanh`, `layernorm`, `embedding`, `first_token` and `cross_entropy`.
+`count_macs` counts the products of `linear` and `attention`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 _grad_enabled = True
 _ids = itertools.count()
-_mac_counters: list[list[int]] = []
+_mac_counters: list[MacCounter] = []
 
 # `linear` weights with fewer entries keep numpy's batched matmul forward
 # (see `linear`)
@@ -95,15 +97,13 @@ class MacCounter:
 @contextmanager
 def count_macs():
     """Count the multiply-accumulates of every matrix product inside the block
-    (`matmul`, `linear` and `attention`)."""
-    box: list[int] = [0]
-    _mac_counters.append(box)
+    (`linear` and `attention`)."""
     counter = MacCounter()
+    _mac_counters.append(counter)
     try:
         yield counter
     finally:
-        _mac_counters.remove(box)
-        counter.macs = box[0]
+        _mac_counters.remove(counter)
 
 
 class Tensor:
@@ -166,8 +166,8 @@ def _from_op(data: np.ndarray, parents, backward_fn) -> Tensor:
 
 
 def _count_macs(macs: int) -> None:
-    for box in _mac_counters:
-        box[0] += macs
+    for counter in _mac_counters:
+        counter.macs += macs
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
@@ -182,7 +182,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and linear-algebra ops
+# elementwise ops, LayerNorm and the loss
 
 
 def add(a, b) -> Tensor:
@@ -196,41 +196,6 @@ def add(a, b) -> Tensor:
             b.accumulate_grad(_reduce_to(g, b.data.shape))
 
     return _from_op(a.data + b.data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(g * a.data, b.data.shape), fresh=True)
-
-    return _from_op(a.data * b.data, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dims follow numpy matmul broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(
-            f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
-        )
-    data = a.data @ b.data
-    if _mac_counters:
-        _count_macs(int(data.size) * a.data.shape[-1])
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g @ b.data.swapaxes(-1, -2), a.data.shape),
-                              fresh=True)
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(a.data.swapaxes(-1, -2) @ g, b.data.shape),
-                              fresh=True)
-
-    return _from_op(data, (a, b), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -533,17 +498,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _from_op(data, (table,), bwd)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
-    old = x.data.shape
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(old))
-
-    return _from_op(x.data.reshape(shape).copy(), (x,), bwd)
-
-
 def first_token(x: Tensor) -> Tensor:
     """Select position 0 of a (batch, seq, dim) tensor -> (batch, dim)."""
     x = _as_tensor(x)
@@ -555,17 +509,6 @@ def first_token(x: Tensor) -> Tensor:
             x.accumulate_grad(buf, fresh=True)
 
     return _from_op(x.data[:, 0, :].copy(), (x,), bwd)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum all entries to a 0-d tensor (sequential row-major reduction)."""
-    x = _as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
-
-    return _from_op(np.asarray(x.data.sum()), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

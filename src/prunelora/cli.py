@@ -26,7 +26,9 @@ seed and output directory. The config is an object with these keys:
 
 Any other key, a key in the wrong section, a section that is not an
 object or a value of the wrong type is a ConfigError, and the command
-exits with status 2. So is, for prune, an importance.csv that is not
+exits with status 2. So is a label the classifier cannot score (a
+task.num_classes above model.num_classes, a TSV label of at least
+model.num_classes), and, for prune, an importance.csv that is not
 finite, lies outside [0, 1] or does not hash to the digest recorded in
 importance_meta.json. All outputs are deterministic functions of the config
 (timing sidecars excepted, and marked as such by filename).
@@ -136,6 +138,11 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
         task = SyntheticTaskSpec.from_dict(tdict, "task")
         if task.vocab_size > model.vocab_size:
             raise ConfigError("task vocab_size exceeds model vocab_size")
+        if task.num_classes > model.num_classes:
+            raise ConfigError(
+                f"task.num_classes {task.num_classes} exceeds model.num_classes "
+                f"{model.num_classes}"
+            )
 
     rc = RunConfig(seed=seed, model=model, task=task,
                    train=TrainConfig.from_dict(owners["train"], "train"),
@@ -168,6 +175,12 @@ def load_datasets(rc: RunConfig, out_dir: Path | None = None):
             f"TSV vocabulary ({int(train.token_ids.max()) + 1} ids) exceeds "
             f"model vocab_size {rc.model.vocab_size}"
         )
+    for path, data in ((rc.tsv_train, train), (rc.tsv_eval, eval_)):
+        if data.labels.max() >= rc.model.num_classes:
+            raise ConfigError(
+                f"{path}: label {int(data.labels.max())} is out of range for "
+                f"model.num_classes {rc.model.num_classes}"
+            )
     if out_dir is not None:
         save_vocab(out_dir / "vocab.tsv", vocab)
     return train, eval_

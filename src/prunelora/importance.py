@@ -53,13 +53,14 @@ def estimate_raw_importance(
     weights: TransformerWeights,
     sample: TokenBatch,
     batch_size: int = 32,
-    freeze_weights: bool = True,
 ):
     """Accumulate |mask gradient| over the sample; returns (raw, token_count).
 
     Per batch: forward, backward, take the elementwise absolute value of
     the mask gradient, add it up, zero the mask gradient. After the last
     batch the sum is divided by the number of non-padding tokens seen.
+    The weights are frozen meanwhile; their `requires_grad` flags are
+    restored on return.
     """
     if sample.size == 0:
         raise ValueError("importance needs a non-empty sample")
@@ -68,8 +69,7 @@ def estimate_raw_importance(
     cfg = weights.config
 
     prev_flags = [t.requires_grad for t in weights.all_tensors()]
-    if freeze_weights:
-        weights.set_requires_grad(False)
+    weights.set_requires_grad(False)
     try:
         mask = HeadMask.ones(cfg, requires_grad=True)
         acc = np.zeros((cfg.num_layers, cfg.num_heads))

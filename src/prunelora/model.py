@@ -11,6 +11,9 @@ saliency is one backward pass away.
 Weights may be head-pruned: per block, Q/K/V keep a column slice per kept
 head and the output projection keeps the matching row slice. The original
 indices of kept heads live in `head_index_map` (identity when unpruned).
+A block that lost every head holds `(hidden, 0)` Q/K/V and `(0, hidden)`
+output tensors and runs the same path: its projections and attention are
+zero wide, so its MHA output is the output bias.
 Each tensor's shape, init and head axis is declared once, in BLOCK_LAYOUT
 and the two tables around it.
 """
@@ -294,7 +297,7 @@ def forward(
         raise ValueError(
             f"batch shapes disagree: ids {ids.shape}, attention {att.shape}"
         )
-    b, s = ids.shape
+    s = ids.shape[1]
     if s > cfg.max_positions:
         raise ValueError(
             f"sequence length {s} exceeds max_positions {cfg.max_positions}"
@@ -320,20 +323,15 @@ def forward(
     x = ag.layernorm(x, weights.emb_ln_gamma, weights.emb_ln_beta, cfg.layernorm_eps)
 
     for l, blk in enumerate(weights.blocks):
-        kept = weights.head_index_map[l]
         # Block part name -> (A, B, scaling) of each adapted projection
         adapted = {} if adapters is None else adapters.by_part(l)
-        if kept:
-            q = ag.linear(x, blk.wq, blk.bq, adapted.get("wq"))
-            k = ag.linear(x, blk.wk, blk.bk, adapted.get("wk"))
-            v = ag.linear(x, blk.wv, blk.bv, adapted.get("wv"))
-            heads = ag.attention(q, k, v, attn_bias, cfg.head_dim,
-                                 xi=None if mask is None else mask.xi,
-                                 heads=(l, kept))
-            mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
-        else:
-            # every head pruned: MHA reduces to its output bias
-            mha = ag.add(Tensor(np.zeros((b, s, cfg.hidden))), blk.bo)
+        q = ag.linear(x, blk.wq, blk.bq, adapted.get("wq"))
+        k = ag.linear(x, blk.wk, blk.bk, adapted.get("wk"))
+        v = ag.linear(x, blk.wv, blk.bv, adapted.get("wv"))
+        heads = ag.attention(q, k, v, attn_bias, cfg.head_dim,
+                             xi=None if mask is None else mask.xi,
+                             heads=(l, weights.head_index_map[l]))
+        mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
         x = ag.layernorm(ag.add(x, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
         up = ag.relu(ag.linear(x, blk.w_up, blk.b_up))

@@ -124,6 +124,10 @@ def freeze_policy(
 # Elements per chunk of AdamW.step: its two float64 scratch arrays of this
 # size (256 KiB each) stay in cache while a large tensor streams through.
 ADAMW_CHUNK = 1 << 15
+# AdamW's moment decay rates and denominator guard
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
 
 
 class AdamW:
@@ -140,20 +144,18 @@ class AdamW:
     than filled.
     """
 
-    def __init__(self, params, lr, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAMW_BETA1 ** self.t
+        bc2 = 1.0 - ADAMW_BETA2 ** self.t
         n = ADAMW_CHUNK
         scratch = None
         for param, m, v in zip(self.params, self.m, self.v):
@@ -185,18 +187,18 @@ class AdamW:
         if self.weight_decay:
             np.multiply(self.lr * self.weight_decay, p, out=s1)
             p -= s1
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=s1)
+        m *= ADAMW_BETA1
+        np.multiply(1.0 - ADAMW_BETA1, g, out=s1)
         m += s1
-        v *= self.beta2
+        v *= ADAMW_BETA2
         np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
+        s1 *= 1.0 - ADAMW_BETA2
         v += s1
         np.divide(m, bc1, out=s1)
         s1 *= self.lr
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += ADAMW_EPS
         s1 /= s2
         p -= s1
 

@@ -12,7 +12,15 @@ import struct  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from prunelora import ModelConfig, SyntheticTaskSpec, generate, init_weights  # noqa: E402
+from prunelora import (  # noqa: E402
+    ModelConfig,
+    PrunePlan,
+    SyntheticTaskSpec,
+    apply_slice_prune,
+    generate,
+    init_weights,
+)
+from prunelora import autograd as ag  # noqa: E402
 from prunelora.checkpoint import MAGIC  # noqa: E402
 
 
@@ -30,6 +38,18 @@ def finite_diff(f, tensor, h=1e-5):
         tensor.data[idx] = orig
         g[idx] = (fp - fm) / (2 * h)
     return g
+
+
+def weighted_sum(out, w):
+    """The 0-d loss sum(out * w) for a constant `w` broadcastable to `out`:
+    d loss / d out is `w`, so a random `w` exercises the whole Jacobian."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), out.data.shape)
+
+    def bwd(g):
+        if out.requires_grad:
+            out.accumulate_grad(g * w, fresh=True)
+
+    return ag._from_op(np.asarray((out.data * w).sum()), (out,), bwd)
 
 
 def repack_checkpoint(path, edit_manifest):
@@ -63,6 +83,18 @@ def toy_config():
 @pytest.fixture
 def toy_weights(toy_config):
     return init_weights(toy_config, seed=0)
+
+
+@pytest.fixture
+def empty_block_weights(toy_weights):
+    """The toy weights sliced so that block 2 keeps no head (12 kept)."""
+    keep = np.ones((4, 4), dtype=bool)
+    keep[2, :] = False
+    weights = apply_slice_prune(toy_weights, PrunePlan(keep, 12))
+    assert weights.head_index_map[2] == []
+    assert weights.blocks[2].wq.data.shape == (64, 0)
+    assert weights.blocks[2].wo.data.shape == (0, 64)
+    return weights
 
 
 @pytest.fixture

@@ -480,6 +480,42 @@ def test_tsv_missing_file_is_config_error(tmp_path):
     assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
 
 
+def write_tsv(path, labels):
+    path.write_text("".join(f"{y}\tred green blue\n" for y in labels),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "importance", "eval"])
+@pytest.mark.parametrize("source", ["task", "tsv-train", "tsv-eval"])
+def test_labels_beyond_model_classes_are_config_errors(tmp_path, capsys,
+                                                       command, source):
+    """Labels the classifier cannot score are refused when the config or the
+    data is read, not by the loss in the middle of a run."""
+    if source == "task":
+        cfg = write_config(tmp_path / "c.json",
+                           task={"kind": "majority-token", "num_classes": 3})
+        named = "task.num_classes 3"
+    else:
+        bad = [0, 1, 2, 1]
+        train_tsv = write_tsv(tmp_path / "train.tsv",
+                              bad if source == "tsv-train" else [0, 1])
+        eval_tsv = write_tsv(tmp_path / "eval.tsv",
+                             bad if source == "tsv-eval" else [0, 1])
+        cfg = write_config(tmp_path / "c.json", task=None,
+                           tsv={"train": str(train_tsv), "eval": str(eval_tsv)})
+        named = f"{tmp_path / source.replace('tsv-', '')}.tsv: label 2"
+    extra = []
+    if command == "eval":
+        good = write_config(tmp_path / "good.json")
+        assert run("importance", "--config", good, "--out", tmp_path / "m") == 0
+        extra = ["--checkpoint", tmp_path / "m" / "model.ckpt"]
+    capsys.readouterr()
+    assert run(command, "--config", cfg, "--out", tmp_path / "x", *extra) == 2
+    err = capsys.readouterr().err
+    assert named in err and "model.num_classes 2" in err
+
+
 def test_errors_exit_nonzero(config_path, tmp_path):
     assert run("report", "--config", tmp_path / "missing.json",
                "--out", tmp_path / "x") == 2

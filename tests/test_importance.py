@@ -76,12 +76,18 @@ def test_duplicating_the_sample_leaves_raw_unchanged(toy_weights, parity_batch):
 
 
 def test_importance_same_with_weight_gradients_enabled(toy_weights, parity_batch):
+    """The map does not depend on the caller's requires_grad flags, which
+    come back as they were, and no weight picks up a gradient."""
     sample = parity_batch.slice(0, 16)
-    frozen, _ = estimate_raw_importance(toy_weights, sample,
-                                        freeze_weights=True)
-    toy_weights.set_requires_grad(True)
-    hot, _ = estimate_raw_importance(toy_weights, sample, freeze_weights=False)
-    assert np.abs(frozen - hot).max() < 1e-12
+    frozen, _ = estimate_raw_importance(toy_weights, sample)
+    tensors = toy_weights.all_tensors()
+    flags = [i % 3 == 0 for i in range(len(tensors))]
+    for t, flag in zip(tensors, flags):
+        t.requires_grad = flag
+    hot, _ = estimate_raw_importance(toy_weights, sample)
+    assert np.array_equal(frozen, hot)
+    assert [t.requires_grad for t in tensors] == flags
+    assert all(t.grad is None for t in tensors)
 
 
 def test_empty_sample_rejected(toy_weights):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from prunelora import autograd as ag
 from prunelora import (
     ModelConfig,
     PrunePlan,
     apply_slice_prune,
     forward,
+    freeze_policy,
     init_adapters,
     init_weights,
     make_rank_plan,
@@ -20,6 +22,7 @@ from prunelora.lora import (
     save_adapters,
     validate_against,
 )
+from prunelora.training import AdamW
 
 
 def perturb(adapters, scale=0.05):
@@ -208,3 +211,53 @@ def test_adapters_validate_against_model(toy_weights):
     adapters = init_adapters(other, plan, seed=0)
     with pytest.raises(ValueError, match="do not fit"):
         validate_against(adapters, toy_weights)
+
+
+# ---------------------------------------------------------------------------
+# a block that lost every head: zero-wide projections, same path
+
+
+def test_empty_block_zero_b_adapters_are_bit_identical(empty_block_weights,
+                                                       parity_batch):
+    batch = parity_batch.slice(0, 8)
+    plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], n_high=2, rank_high=8, rank_low=4)
+    adapters = init_adapters(empty_block_weights, plan, seed=3)
+    assert adapters.for_block(2)["q"][1].data.shape == (4, 0)
+    assert np.array_equal(
+        forward(empty_block_weights, batch, adapters=adapters).data,
+        forward(empty_block_weights, batch).data)
+
+
+def test_empty_block_merge_is_exact(empty_block_weights, parity_batch):
+    batch = parity_batch.slice(0, 16)
+    plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], n_high=2, rank_high=8, rank_low=4)
+    adapters = perturb(init_adapters(empty_block_weights, plan, seed=5))
+    merged = merge_adapters(empty_block_weights, adapters)
+    assert merged.blocks[2].wo.data.shape == (0, 64)
+    via_adapters = forward(empty_block_weights, batch, adapters=adapters)
+    assert np.abs(via_adapters.data - forward(merged, batch).data).max() < 1e-10
+
+
+def test_empty_block_adapters_decay_without_changing_logits(
+        empty_block_weights, parity_batch):
+    """The emptied block's adapters get zero (Q/K/V A, output B) or empty
+    gradients, so weight decay shrinks its Q/K/V A matrices; they multiply
+    a B with no columns, so no logit moves."""
+    batch = parity_batch.slice(0, 8)
+    weights = empty_block_weights
+    plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], n_high=2, rank_high=8, rank_low=4)
+    adapters = perturb(init_adapters(weights, plan, seed=6))
+    freeze_policy(weights, adapters, "prune_lora")
+    before = forward(weights, batch, adapters=adapters).data.copy()
+    ag.backward(ag.cross_entropy(forward(weights, batch, adapters=adapters),
+                                 batch.labels))
+    pairs = adapters.for_block(2)
+    for target, (a, b) in pairs.items():
+        assert a.grad.shape == a.data.shape and b.grad.shape == b.data.shape
+        assert not a.grad.any() and not b.grad.any(), target
+    a_q = pairs["q"][0].data.copy()
+    opt = AdamW([t for pair in pairs.values() for t in pair],
+                lr=0.1, weight_decay=0.5)
+    opt.step()
+    assert np.array_equal(pairs["q"][0].data, a_q - (0.1 * 0.5) * a_q)
+    assert np.array_equal(forward(weights, batch, adapters=adapters).data, before)

@@ -278,27 +278,33 @@ def graph_nodes(loss):
     return count
 
 
+def regime_graph_nodes(weights, regime, batch, mask=None):
+    """graph_nodes of the loss with `regime`'s trainable tensors: adapters
+    attached for lora and prune_lora, only the mask for "importance"."""
+    adapters = None
+    if regime in ("lora", "prune_lora"):
+        plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], 2, 8, 4)
+        adapters = init_adapters(weights, plan, seed=0)
+    if regime == "importance":
+        weights.set_requires_grad(False)
+    else:
+        freeze_policy(weights, adapters, regime)
+    return graph_nodes(ag.cross_entropy(
+        forward(weights, batch, mask=mask, adapters=adapters), batch.labels))
+
+
 def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
     """Each block records one node per projection, one for its attention
     and five more (two residual adds, two LayerNorms, the ReLU)."""
     batch = parity_batch.slice(0, 8)
     keep = np.ones((4, 4), dtype=bool)
     keep[[0, 1, 2, 3], [3, 0, 2, 1]] = False  # every block keeps 3 heads
-    plan = make_rank_plan([0.4, 0.3, 0.2, 0.1], 2, 8, 4)
 
     def count(regime, mask=None):
         weights = init_weights(toy_config, seed=0)
-        adapters = None
         if regime == "prune_lora":
             weights = apply_slice_prune(weights, PrunePlan(keep, 12))
-        if regime in ("lora", "prune_lora"):
-            adapters = init_adapters(weights, plan, seed=0)
-        if regime == "importance":
-            weights.set_requires_grad(False)
-        else:
-            freeze_policy(weights, adapters, regime)
-        return graph_nodes(ag.cross_entropy(
-            forward(weights, batch, mask=mask, adapters=adapters), batch.labels))
+        return regime_graph_nodes(weights, regime, batch, mask)
 
     # full_finetune: 4 x 12 block nodes, 6 embedding nodes, pooler and
     # classifier (first_token, linear, tanh, linear) and the loss
@@ -308,3 +314,18 @@ def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
     assert count("prune_lora") == 54
     # only the head mask is trainable: block 0 starts at its attention
     assert count("importance", HeadMask.ones(toy_config)) == 50
+
+
+def test_graph_node_counts_with_an_empty_block(empty_block_weights,
+                                               parity_batch):
+    """A block that lost every head records the same 12 nodes as a full
+    one: four zero-wide projections, its attention, and the rest."""
+    batch = parity_batch.slice(0, 8)
+
+    def count(regime, mask=None):
+        return regime_graph_nodes(empty_block_weights.clone(), regime, batch,
+                                  mask)
+
+    assert count("full_finetune") == 59
+    assert count("prune_lora") == 54
+    assert count("importance", HeadMask.ones(empty_block_weights.config)) == 50

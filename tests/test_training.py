@@ -18,7 +18,15 @@ from prunelora import (
     train,
 )
 from prunelora.autograd import Tensor
-from prunelora.training import AdamW, TrainConfig, TrainingDiverged, evaluate
+from prunelora.training import (
+    ADAMW_BETA1,
+    ADAMW_BETA2,
+    ADAMW_EPS,
+    AdamW,
+    TrainConfig,
+    TrainingDiverged,
+    evaluate,
+)
 
 
 def small_task(kind="majority-token", train_size=128, eval_size=64, seed=0):
@@ -88,8 +96,8 @@ def test_adamw_single_step_matches_hand_computation():
     w = Tensor(np.array(2.0), requires_grad=True)
     g = 0.5
     w.grad = np.array(g)
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = AdamW([w], lr=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
+    lr, eps = 0.01, ADAMW_EPS
+    opt = AdamW([w], lr=lr, weight_decay=0.0)
     opt.step()
     # bias-corrected first step: m_hat = g, v_hat = g^2
     expected = 2.0 - lr * g / (abs(g) + eps)
@@ -100,8 +108,9 @@ def test_adamw_steps_match_the_reference_expression():
     rng = np.random.default_rng(3)
     shapes = [(5, 4), (7,), ()]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-    lr, wd, b1, b2, eps = 1e-2, 0.1, 0.9, 0.999, 1e-8
-    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    lr, wd = 1e-2, 0.1
+    b1, b2, eps = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
+    opt = AdamW(params, lr=lr, weight_decay=wd)
     ref = [p.data.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
@@ -137,9 +146,9 @@ def check_adamw_against_reference(params, wd, grad_layout=None, steps=3):
     the reference expression. grad_layout[i], if given, re-lays out each
     gradient of params[i] (e.g. `transposed`)."""
     rng = np.random.default_rng(11)
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 1e-2, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
     layout = grad_layout or [None] * len(params)
-    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    opt = AdamW(params, lr=lr, weight_decay=wd)
     ref = [p.data.copy() for p in params]
     m = [np.zeros(p.data.shape) for p in params]
     v = [np.zeros(p.data.shape) for p in params]
