@@ -21,7 +21,10 @@ as it is (`fresh=True`); any other first contribution (the upstream
 gradient, a view of it, an array shared by two parents) is stored as a
 copy. Later contributions are added in place, so no `.grad` ever aliases
 another array. `embedding` scatters straight into its table's `.grad`,
-starting it at fresh zeros.
+starting it at fresh zeros, and records the rows it scattered into next to
+it (`Tensor.grad_rows`), so the optimizer can leave the table's other rows
+alone. The zeros of a large table are mapped lazily, so only the pages of
+rows looked up are ever faulted in.
 
 A transformer block is built from two fused ops, one graph node each:
 
@@ -107,7 +110,8 @@ def count_macs():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id",
+                 "_grad_rows")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -116,6 +120,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None  # same-shape ndarray once populated
+        self._grad_rows = None  # (.grad, its row mask); see grad_rows
         self._parents = ()
         self._backward = None
         self._id = next(_ids)
@@ -124,14 +129,30 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad_rows(self):
+        """Boolean mask of the only rows of `.grad` that can be non-zero, or
+        None.
+
+        Set when every contribution to `.grad` came from `embedding`
+        lookups of this tensor (the union of their ids). None when there is
+        no `.grad`, when it took any other contribution, and when `.grad` is
+        not the array the lookups wrote (a caller assigned it): a row set
+        describes only the array it was recorded with.
+        """
+        rec = self._grad_rows
+        return rec[1] if rec is not None and rec[0] is self.grad else None
+
     def zero_grad(self):
         self.grad = None
+        self._grad_rows = None
 
     def accumulate_grad(self, g: np.ndarray, fresh: bool = False):
         # `fresh`: the closure allocated `g` for this tensor alone, so the
         # first contribution is kept as it is. Otherwise it is stored as a
         # C-ordered copy: closures hand the same `g` to several parents and
         # pass views of upstream gradients, so it is never aliased.
+        self._grad_rows = None  # a dense contribution
         if self.grad is None:
             self.grad = (np.asarray(g) if fresh
                          else np.array(g, dtype=np.float64, order="C"))
@@ -153,6 +174,7 @@ def _from_op(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._grad_rows = None
     out._id = next(_ids)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -479,7 +501,13 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...]]."""
+    """Row lookup: out[..., :] = table[ids[...]].
+
+    Backward scatter-adds into the table's `.grad` (fresh zeros if it has
+    none) and records the looked-up rows as its `grad_rows`: the union with
+    the rows already recorded when the table was looked up before, none if
+    `.grad` already held another contribution.
+    """
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
@@ -492,8 +520,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros(table.data.shape)
+                rows = np.zeros(table.data.shape[0], dtype=bool)
+            else:
+                rows = table.grad_rows  # None: .grad holds another contribution
             # np.add.at applies updates sequentially: deterministic scatter-add
             np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+            if rows is not None:
+                rows[ids] = True
+                table._grad_rows = (table.grad, rows)
 
     return _from_op(data, (table,), bwd)
 

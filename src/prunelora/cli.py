@@ -322,6 +322,13 @@ def cmd_eval(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
     weights, _ = checkpoint.load_model(args.checkpoint)
+    # labels are checked against the config's classes (load_run_config,
+    # load_datasets) and scored by the checkpoint's classifier
+    if weights.config.num_classes < rc.model.num_classes:
+        raise ConfigError(
+            f"{args.checkpoint}: classifier scores {weights.config.num_classes} "
+            f"classes, fewer than model.num_classes {rc.model.num_classes}"
+        )
     adapters = None
     if args.adapters:
         adapters = lora.load_adapters(args.adapters, weights=weights)

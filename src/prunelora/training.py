@@ -142,6 +142,16 @@ class AdamW:
     so the result has the same bits however the tensor is split. The
     moments start as `np.zeros`, so large ones are mapped lazily rather
     than filled.
+
+    Such a streamed tensor whose gradients come only from `embedding`
+    lookups (`Tensor.grad_rows`) is updated by row. A row that has never
+    had a gradient has zero moments, so its full update is exactly the
+    decay `p -= lr*wd*p`: every row gets the decay, and only the rows
+    looked up so far (the live rows) get the moment update and the step,
+    gathered in groups that fit in the two scratch arrays. Bits, moments
+    included, are those of the dense update, and the moment pages of rows
+    never looked up are never touched. A gradient without a row set makes
+    the tensor dense from then on.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
@@ -151,6 +161,8 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
+        # per parameter, which rows have had a gradient; None once dense
+        self.live = [np.zeros(p.data.shape[:1], dtype=bool) for p in self.params]
 
     def step(self):
         self.t += 1
@@ -158,7 +170,7 @@ class AdamW:
         bc2 = 1.0 - ADAMW_BETA2 ** self.t
         n = ADAMW_CHUNK
         scratch = None
-        for param, m, v in zip(self.params, self.m, self.v):
+        for j, (param, m, v) in enumerate(zip(self.params, self.m, self.v)):
             p, g = param.data, param.grad
             if g is None:
                 continue
@@ -167,6 +179,12 @@ class AdamW:
             if p.size > n and p.flags.c_contiguous and g.flags.c_contiguous:
                 if scratch is None:
                     scratch = np.empty(n), np.empty(n)
+                rows, live = param.grad_rows, self.live[j]
+                if rows is not None and live is not None:
+                    live |= rows
+                    self._update_rows(p, g, m, v, live, *scratch, bc1, bc2)
+                    continue
+                self.live[j] = None
                 s1, s2 = scratch
                 p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
                 for i in range(0, p.size, n):
@@ -175,6 +193,7 @@ class AdamW:
                     self._update(p[c], g[c], m[c], v[c], s1[:k], s2[:k],
                                  bc1, bc2)
             else:
+                self.live[j] = None
                 self._update(p, g, m, v, np.empty_like(p), np.empty_like(p),
                              bc1, bc2)
 
@@ -185,8 +204,14 @@ class AdamW:
             p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
         """
         if self.weight_decay:
-            np.multiply(self.lr * self.weight_decay, p, out=s1)
-            p -= s1
+            self._decay(p, s1)
+        self._moments(p, g, m, v, s1, s2, bc1, bc2)
+
+    def _decay(self, p, s1):
+        np.multiply(self.lr * self.weight_decay, p, out=s1)
+        p -= s1
+
+    def _moments(self, p, g, m, v, s1, s2, bc1, bc2):
         m *= ADAMW_BETA1
         np.multiply(1.0 - ADAMW_BETA1, g, out=s1)
         m += s1
@@ -202,9 +227,42 @@ class AdamW:
         s1 /= s2
         p -= s1
 
+    def _update_rows(self, p, g, m, v, live, s1, s2, bc1, bc2):
+        """`_update` of a C-contiguous tensor whose rows outside the mask
+        `live` have zero gradient and zero moments: the decay streams over
+        every row, the moments and the step run on the live rows only.
+
+        The live rows are gathered in groups, each a copy of p, g, m and v
+        plus two work arrays, six pieces carved out of the chunk-sized
+        scratch arrays `s1` and `s2` (a row wider than a third of a chunk
+        gets scratch of its own), then p, m and v are written back.
+        """
+        n = s1.size
+        if self.weight_decay:
+            flat = p.reshape(-1)
+            for i in range(0, flat.size, n):
+                self._decay(flat[i:i + n], s1[:min(n, flat.size - i)])
+        width = p.size // p.shape[0]
+        per = max(1, n // (3 * width))  # rows per group
+        k = per * width
+        if 3 * k > n:
+            s1, s2 = np.empty(3 * k), np.empty(3 * k)
+        bufs = [s[i * k:(i + 1) * k].reshape(per, width)
+                for s in (s1, s2) for i in range(3)]
+        pr, gr, mr, vr = (a.reshape(p.shape[0], width) for a in (p, g, m, v))
+        rows = np.flatnonzero(live)
+        for i in range(0, rows.size, per):
+            idx = rows[i:i + per]
+            P, G, M, V, w1, w2 = (b[:idx.size] for b in bufs)
+            for a, b in ((pr, P), (gr, G), (mr, M), (vr, V)):
+                # mode="clip": ids are in range, and "raise" buffers `out`
+                np.take(a, idx, axis=0, out=b, mode="clip")
+            self._moments(P, G, M, V, w1, w2, bc1, bc2)
+            pr[idx], mr[idx], vr[idx] = P, M, V
+
     def zero_grad(self):
         for p in self.params:
-            p.grad = None
+            p.zero_grad()
 
 
 def _batch_logits(weights, data, adapters, batch_size):

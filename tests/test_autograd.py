@@ -290,6 +290,7 @@ def test_embedding_gradient_scatters_to_rows():
     ag.backward(weighted_sum(out, 1.0))
     expected = np.array([[1.0] * 3, [2.0] * 3, [0.0] * 3, [1.0] * 3])
     assert np.array_equal(table.grad, expected)
+    assert np.array_equal(np.flatnonzero(table.grad_rows), [0, 1, 3])
 
 
 def test_embedding_table_looked_up_twice_sums_both_scatters():
@@ -301,6 +302,7 @@ def test_embedding_table_looked_up_twice_sums_both_scatters():
     # row r gets 2 per lookup in `first` and 1 per lookup in `second`
     counts = np.array([2.0, 2 * 2 + 1, 3, 2])
     assert np.array_equal(table.grad, np.repeat(counts[:, None], 3, axis=1))
+    assert table.grad_rows.all()  # the union of both lookups
     assert_grads_unaliased([table], [first, second])
     assert not np.shares_memory(table.grad, table.data)
 

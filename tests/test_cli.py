@@ -516,6 +516,19 @@ def test_labels_beyond_model_classes_are_config_errors(tmp_path, capsys,
     assert named in err and "model.num_classes 2" in err
 
 
+def test_eval_checkpoint_with_fewer_classes_is_config_error(tmp_path, capsys):
+    """A 2-class checkpoint cannot score the labels of a 3-class config."""
+    good = write_config(tmp_path / "good.json")
+    assert run("importance", "--config", good, "--out", tmp_path / "m") == 0
+    cfg = write_config(tmp_path / "c.json", model={"num_classes": 3},
+                       task={"kind": "majority-token", "num_classes": 3})
+    capsys.readouterr()
+    assert run("eval", "--config", cfg, "--out", tmp_path / "x",
+               "--checkpoint", tmp_path / "m" / "model.ckpt") == 2
+    err = capsys.readouterr().err
+    assert "scores 2 classes" in err and "model.num_classes 3" in err
+
+
 def test_errors_exit_nonzero(config_path, tmp_path):
     assert run("report", "--config", tmp_path / "missing.json",
                "--out", tmp_path / "x") == 2

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from prunelora.training import (
     TrainingDiverged,
     evaluate,
 )
+
+from conftest import weighted_sum
 
 
 def small_task(kind="majority-token", train_size=128, eval_size=64, seed=0):
@@ -210,20 +213,155 @@ def test_adamw_size_zero_parameter(small_chunk, others):
     assert params[0].data.shape == (4, 0)
 
 
-def test_adamw_step_scratch_stays_within_three_chunks():
-    size = 8 * training.ADAMW_CHUNK
-    rng = np.random.default_rng(8)
-    p = Tensor(rng.normal(size=(size // 64, 64)), requires_grad=True)
-    p.grad = rng.normal(size=p.data.shape)
-    opt = AdamW([p], lr=1e-3, weight_decay=0.01)
+def step_scratch_peak(opt):
+    """Peak bytes allocated by one `opt.step()`."""
     tracemalloc.start()
     try:
         opt.step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_adamw_step_scratch_stays_within_three_chunks():
+    size = 8 * training.ADAMW_CHUNK
+    rng = np.random.default_rng(8)
+    p = Tensor(rng.normal(size=(size // 64, 64)), requires_grad=True)
+    p.grad = rng.normal(size=p.data.shape)
+    opt = AdamW([p], lr=1e-3, weight_decay=0.01)
     # two scratch arrays the size of the tensor would make 16 chunk-sizes
-    assert peak < 3 * training.ADAMW_CHUNK * 8
+    assert step_scratch_peak(opt) < 3 * training.ADAMW_CHUNK * 8
+
+
+def test_adamw_row_update_scratch_stays_within_three_chunks():
+    # every row looked up: the row update gathers the whole tensor, group
+    # by group
+    size = 8 * training.ADAMW_CHUNK
+    rng = np.random.default_rng(8)
+    table = Tensor(rng.normal(size=(size // 64, 64)), requires_grad=True)
+    ag.backward(weighted_sum(ag.embedding(table, np.arange(size // 64)), 1.0))
+    assert table.grad_rows.all()
+    opt = AdamW([table], lr=1e-3, weight_decay=0.01)
+    assert step_scratch_peak(opt) < 3 * training.ADAMW_CHUNK * 8
+    assert opt.live[0].all()
+
+
+def test_adamw_row_update_leaves_pages_of_other_rows_unmapped():
+    """One step on a 32 MiB table with 32 rows looked up maps next to no
+    gradient or moment pages (a dense step maps all 24 k of them)."""
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(9)
+    table = Tensor(rng.normal(size=(1 << 16, 64)), requires_grad=True)
+    opt = AdamW([table], lr=1e-3, weight_decay=0.01)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = ag.embedding(table, rng.integers(0, 1 << 16, size=(2, 16)))
+    ag.backward(weighted_sum(out, 1.0))
+    opt.step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert np.count_nonzero(opt.live[0]) <= 32
+    assert faults < 2000
+
+
+# ids looked up at each step: row 5 first at step 3, row 4 at step 1 only,
+# row 3 first at step 5
+ROW_STEPS = [[[0, 4], [2, 2]], [0, 1, 1], [[5, 0], [2, 5]], [1], [3, 0]]
+
+
+def train_table(wd, contribute, shape=(6, 4)):
+    """Train a table of `shape` with AdamW, one step per entry of ROW_STEPS,
+    and compare it and both moments, bit for bit, with the dense reference
+    expression after every step. `contribute(table, ids, step, rng)` runs
+    the step's forward and backward. Returns the optimizer."""
+    rng = np.random.default_rng(12)
+    table = Tensor(rng.normal(size=shape), requires_grad=True)
+    lr, b1, b2, eps = 1e-2, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
+    opt = AdamW([table], lr=lr, weight_decay=wd)
+    ref = table.data.copy()
+    m, v = np.zeros(ref.shape), np.zeros(ref.shape)
+    for t, ids in enumerate(ROW_STEPS, start=1):
+        contribute(table, np.array(ids), t, rng)
+        g = table.grad.copy()
+        opt.step()
+        opt.zero_grad()
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        ref -= lr * wd * ref
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        ref -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        assert np.array_equal(table.data, ref), t
+        assert np.array_equal(opt.m[0], m), t
+        assert np.array_equal(opt.v[0], v), t
+    return opt
+
+
+def lookup(table, ids, step, rng):
+    out = ag.embedding(table, ids)
+    ag.backward(weighted_sum(out, rng.normal(size=out.data.shape)))
+    assert np.array_equal(np.flatnonzero(table.grad_rows), np.unique(ids))
+
+
+# 8-element chunks: a 4-wide row gets scratch of its own, 1-wide rows are
+# gathered two to a group
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+@pytest.mark.parametrize("shape", [(6, 4), (24, 1)],
+                         ids=["wide-rows", "grouped-rows"])
+def test_adamw_row_tracked_table_matches_the_reference_expression(small_chunk,
+                                                                  wd, shape):
+    opt = train_table(wd, lookup, shape)
+    # every step ran the row update, on the rows looked up so far
+    assert np.array_equal(np.flatnonzero(opt.live[0]), range(6))
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+@pytest.mark.parametrize("dense_runs", ["first", "last"])
+def test_adamw_table_with_a_dense_contribution_falls_back_to_dense(
+        small_chunk, wd, dense_runs):
+    def contribute(table, ids, step, rng):
+        def dense_loss():
+            return weighted_sum(ag.add(table, 1.0),
+                                rng.normal(size=table.data.shape))
+
+        # backward runs nodes in reverse creation order
+        if dense_runs == "last":
+            dense = dense_loss()
+        out = ag.embedding(table, ids)
+        rows = weighted_sum(out, rng.normal(size=out.data.shape))
+        if dense_runs == "first":
+            dense = dense_loss()
+        ag.backward(ag.add(rows, dense))
+        assert table.grad_rows is None
+
+    opt = train_table(wd, contribute)
+    assert opt.live[0] is None
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_adamw_hand_assigned_grad_is_dense(small_chunk, wd):
+    def contribute(table, ids, step, rng):
+        lookup(table, ids, step, rng)
+        if step == 2:
+            # every row, not only the looked-up ones, has a gradient now
+            table.grad = table.grad + rng.normal(size=table.data.shape)
+            assert table.grad_rows is None
+
+    opt = train_table(wd, contribute)
+    assert opt.live[0] is None
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_adamw_zero_grad_clears_the_row_set(small_chunk, wd):
+    grads = []
+
+    def contribute(table, ids, step, rng):
+        assert table.grad is None and table.grad_rows is None
+        # the previous step's gradient is freed, row set and all
+        assert all(ref() is None for ref in grads)
+        lookup(table, ids, step, rng)
+        grads.append(weakref.ref(table.grad))
+
+    opt = train_table(wd, contribute)
+    assert opt.live[0] is not None
 
 
 def test_adamw_skips_parameters_without_gradients():
