@@ -22,8 +22,8 @@ gradient, a view of it, an array shared by two parents) is stored as a
 copy. Later contributions are added in place, so no `.grad` ever aliases
 another array. `embedding` scatters straight into its table's `.grad`,
 starting it at fresh zeros, and records the rows it scattered into next to
-it (`Tensor.grad_rows`), so the optimizer can leave the table's other rows
-alone. The zeros of a large table are mapped lazily, so only the pages of
+it (`Tensor.grad_rows`), so the optimizer can skip the moment update on
+the parts of the table no lookup reached. The zeros of a large table are mapped lazily, so only the pages of
 rows looked up are ever faulted in.
 
 A transformer block is built from two fused ops, one graph node each:

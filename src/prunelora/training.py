@@ -144,14 +144,13 @@ class AdamW:
     than filled.
 
     Such a streamed tensor whose gradients come only from `embedding`
-    lookups (`Tensor.grad_rows`) is updated by row. A row that has never
+    lookups (`Tensor.grad_rows`) is tracked by row. A row that has never
     had a gradient has zero moments, so its full update is exactly the
-    decay `p -= lr*wd*p`: every row gets the decay, and only the rows
-    looked up so far (the live rows) get the moment update and the step,
-    gathered in groups that fit in the two scratch arrays. Bits, moments
-    included, are those of the dense update, and the moment pages of rows
-    never looked up are never touched. A gradient without a row set makes
-    the tensor dense from then on.
+    decay `p -= lr*wd*p`: a chunk that holds no row looked up so far (no
+    live row) gets only the decay, every other chunk the full update. Bits,
+    moments included, are those of the dense update, and the moment pages
+    of chunks without a live row are never touched. A gradient without a
+    row set makes the tensor dense from then on.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
@@ -174,26 +173,30 @@ class AdamW:
             p, g = param.data, param.grad
             if g is None:
                 continue
+            live, rows = self.live[j], param.grad_rows
+            if live is None or rows is None:
+                live = self.live[j] = None
+            else:
+                live |= rows
             # reshape(-1) of a non-contiguous array is a copy, and an update
             # to it would be lost: such a tensor is updated whole
             if p.size > n and p.flags.c_contiguous and g.flags.c_contiguous:
                 if scratch is None:
                     scratch = np.empty(n), np.empty(n)
-                rows, live = param.grad_rows, self.live[j]
-                if rows is not None and live is not None:
-                    live |= rows
-                    self._update_rows(p, g, m, v, live, *scratch, bc1, bc2)
-                    continue
-                self.live[j] = None
                 s1, s2 = scratch
+                width = p.size // p.shape[0]
                 p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
                 for i in range(0, p.size, n):
                     c = slice(i, i + n)
                     k = min(n, p.size - i)
-                    self._update(p[c], g[c], m[c], v[c], s1[:k], s2[:k],
-                                 bc1, bc2)
+                    # the rows the chunk holds all or part of
+                    first, last = i // width, (i + k - 1) // width
+                    if live is None or live[first:last + 1].any():
+                        self._update(p[c], g[c], m[c], v[c], s1[:k], s2[:k],
+                                     bc1, bc2)
+                    elif self.weight_decay:
+                        self._decay(p[c], s1[:k])
             else:
-                self.live[j] = None
                 self._update(p, g, m, v, np.empty_like(p), np.empty_like(p),
                              bc1, bc2)
 
@@ -205,13 +208,6 @@ class AdamW:
         """
         if self.weight_decay:
             self._decay(p, s1)
-        self._moments(p, g, m, v, s1, s2, bc1, bc2)
-
-    def _decay(self, p, s1):
-        np.multiply(self.lr * self.weight_decay, p, out=s1)
-        p -= s1
-
-    def _moments(self, p, g, m, v, s1, s2, bc1, bc2):
         m *= ADAMW_BETA1
         np.multiply(1.0 - ADAMW_BETA1, g, out=s1)
         m += s1
@@ -227,38 +223,9 @@ class AdamW:
         s1 /= s2
         p -= s1
 
-    def _update_rows(self, p, g, m, v, live, s1, s2, bc1, bc2):
-        """`_update` of a C-contiguous tensor whose rows outside the mask
-        `live` have zero gradient and zero moments: the decay streams over
-        every row, the moments and the step run on the live rows only.
-
-        The live rows are gathered in groups, each a copy of p, g, m and v
-        plus two work arrays, six pieces carved out of the chunk-sized
-        scratch arrays `s1` and `s2` (a row wider than a third of a chunk
-        gets scratch of its own), then p, m and v are written back.
-        """
-        n = s1.size
-        if self.weight_decay:
-            flat = p.reshape(-1)
-            for i in range(0, flat.size, n):
-                self._decay(flat[i:i + n], s1[:min(n, flat.size - i)])
-        width = p.size // p.shape[0]
-        per = max(1, n // (3 * width))  # rows per group
-        k = per * width
-        if 3 * k > n:
-            s1, s2 = np.empty(3 * k), np.empty(3 * k)
-        bufs = [s[i * k:(i + 1) * k].reshape(per, width)
-                for s in (s1, s2) for i in range(3)]
-        pr, gr, mr, vr = (a.reshape(p.shape[0], width) for a in (p, g, m, v))
-        rows = np.flatnonzero(live)
-        for i in range(0, rows.size, per):
-            idx = rows[i:i + per]
-            P, G, M, V, w1, w2 = (b[:idx.size] for b in bufs)
-            for a, b in ((pr, P), (gr, G), (mr, M), (vr, V)):
-                # mode="clip": ids are in range, and "raise" buffers `out`
-                np.take(a, idx, axis=0, out=b, mode="clip")
-            self._moments(P, G, M, V, w1, w2, bc1, bc2)
-            pr[idx], mr[idx], vr[idx] = P, M, V
+    def _decay(self, p, s1):
+        np.multiply(self.lr * self.weight_decay, p, out=s1)
+        p -= s1
 
     def zero_grad(self):
         for p in self.params:

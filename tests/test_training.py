@@ -234,9 +234,8 @@ def test_adamw_step_scratch_stays_within_three_chunks():
     assert step_scratch_peak(opt) < 3 * training.ADAMW_CHUNK * 8
 
 
-def test_adamw_row_update_scratch_stays_within_three_chunks():
-    # every row looked up: the row update gathers the whole tensor, group
-    # by group
+def test_adamw_row_tracked_step_scratch_stays_within_three_chunks():
+    # every row looked up: every chunk gets the full update
     size = 8 * training.ADAMW_CHUNK
     rng = np.random.default_rng(8)
     table = Tensor(rng.normal(size=(size // 64, 64)), requires_grad=True)
@@ -247,15 +246,17 @@ def test_adamw_row_update_scratch_stays_within_three_chunks():
     assert opt.live[0].all()
 
 
-def test_adamw_row_update_leaves_pages_of_other_rows_unmapped():
-    """One step on a 32 MiB table with 32 rows looked up maps next to no
-    gradient or moment pages (a dense step maps all 24 k of them)."""
+def test_adamw_leaves_pages_of_chunks_without_live_rows_unmapped():
+    """One step on a 32 MiB table whose 32 looked-up rows lie in its first
+    2 of 128 chunks maps the gradient and moment pages of those chunks
+    only; a dense step maps all three arrays (24 k pages of 4 KiB)."""
     resource = pytest.importorskip("resource")
     rng = np.random.default_rng(9)
     table = Tensor(rng.normal(size=(1 << 16, 64)), requires_grad=True)
     opt = AdamW([table], lr=1e-3, weight_decay=0.01)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    out = ag.embedding(table, rng.integers(0, 1 << 16, size=(2, 16)))
+    rows_per_chunk = training.ADAMW_CHUNK // 64
+    out = ag.embedding(table, rng.integers(0, 2 * rows_per_chunk, size=(2, 16)))
     ag.backward(weighted_sum(out, 1.0))
     opt.step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -263,12 +264,12 @@ def test_adamw_row_update_leaves_pages_of_other_rows_unmapped():
     assert faults < 2000
 
 
-# ids looked up at each step: row 5 first at step 3, row 4 at step 1 only,
-# row 3 first at step 5
-ROW_STEPS = [[[0, 4], [2, 2]], [0, 1, 1], [[5, 0], [2, 5]], [1], [3, 0]]
+# ids looked up at each step: row 4 at step 1 only, row 5 first at step 3,
+# row 10 at step 4 only, row 3 first at step 5
+ROW_STEPS = [[[0, 4], [2, 2]], [0, 1, 1], [[5, 0], [2, 5]], [1, 10], [3, 0]]
 
 
-def train_table(wd, contribute, shape=(6, 4)):
+def train_table(wd, contribute, shape=(16, 3)):
     """Train a table of `shape` with AdamW, one step per entry of ROW_STEPS,
     and compare it and both moments, bit for bit, with the dense reference
     expression after every step. `contribute(table, ids, step, rng)` runs
@@ -301,16 +302,19 @@ def lookup(table, ids, step, rng):
     assert np.array_equal(np.flatnonzero(table.grad_rows), np.unique(ids))
 
 
-# 8-element chunks: a 4-wide row gets scratch of its own, 1-wide rows are
-# gathered two to a group
+# 8-element chunks. 3-wide rows straddle chunks: chunk 2 (rows 5-7) gets
+# its first live row at step 3 through row 5, which starts in chunk 1;
+# chunks 3 and 4 hold live elements only of row 10, from step 4 on; chunk 5
+# never holds a live row. 1-wide rows: chunks 2-5 never do. 20-wide rows
+# span three or four chunks each.
 @pytest.mark.parametrize("wd", [0.0, 0.1])
-@pytest.mark.parametrize("shape", [(6, 4), (24, 1)],
-                         ids=["wide-rows", "grouped-rows"])
+@pytest.mark.parametrize("shape", [(16, 3), (48, 1), (12, 20)],
+                         ids=["straddling-rows", "narrow-rows", "wide-rows"])
 def test_adamw_row_tracked_table_matches_the_reference_expression(small_chunk,
                                                                   wd, shape):
     opt = train_table(wd, lookup, shape)
-    # every step ran the row update, on the rows looked up so far
-    assert np.array_equal(np.flatnonzero(opt.live[0]), range(6))
+    # the table stayed row-tracked, with the rows looked up so far live
+    assert np.array_equal(np.flatnonzero(opt.live[0]), [0, 1, 2, 3, 4, 5, 10])
 
 
 @pytest.mark.parametrize("wd", [0.0, 0.1])
