@@ -30,8 +30,9 @@ exits with status 2. So is a label the classifier cannot score (a
 task.num_classes above model.num_classes, a TSV label of at least
 model.num_classes), and, for prune, an importance.csv that is not
 finite, lies outside [0, 1] or does not hash to the digest recorded in
-importance_meta.json. All outputs are deterministic functions of the config
-(timing sidecars excepted, and marked as such by filename).
+importance_meta.json, or an importance_meta.json with an unknown key or a
+value of the wrong type. All outputs are deterministic functions of the
+config (timing sidecars excepted, and marked as such by filename).
 """
 
 from __future__ import annotations
@@ -195,6 +196,12 @@ def _outdir(args, rc: RunConfig | None = None) -> Path:
     return path
 
 
+# importance_meta.json key -> annotation; `prune` reads the file against it
+IMPORTANCE_META_TYPES = {"digest": "str", "model_digest": "str",
+                         "token_count": "int", "sample_size": "int",
+                         "epsilon": "float", "shape": "list[int]"}
+
+
 def _write_importance_meta(out: Path, imap, **extra) -> None:
     write_json(out / "importance_meta.json", {
         "digest": imap.digest(),
@@ -246,19 +253,14 @@ def cmd_prune(args) -> int:
     if not meta_path.exists():
         raise ConfigError(f"missing metadata next to importance map: {meta_path}")
     with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{meta_path}: expected a JSON object")
-    for key in ("model_digest", "digest"):
-        if not isinstance(meta.get(key, ""), str):
-            raise ConfigError(f"{meta_path}: {key} must be a string")
+        meta = parse_section(json.load(f), str(meta_path), IMPORTANCE_META_TYPES)
+    if "digest" not in meta:
+        raise ConfigError(f"config key '{meta_path}.digest' is required")
     if meta.get("model_digest") != model_digest:
-        print(
-            f"error: stale importance map: computed from model "
-            f"{meta.get('model_digest', '?')[:12]}..., got {model_digest[:12]}...",
-            file=sys.stderr,
+        raise ConfigError(
+            f"stale importance map: computed from model "
+            f"{meta.get('model_digest', '?')[:12]}..., got {model_digest[:12]}..."
         )
-        return 2
     final = importance.import_importance_csv(imp_csv)
     digest = meta.get("digest")
     if not np.all(np.isfinite(final)) or final.min() < 0 or final.max() > 1:
@@ -304,9 +306,9 @@ def cmd_train(args) -> int:
 def cmd_merge(args) -> int:
     base, manifest = checkpoint.load_model(args.base)
     if manifest.get("merged_adapters"):
-        print("error: base checkpoint already has adapters merged in; "
-              "merging twice would double the delta", file=sys.stderr)
-        return 2
+        raise checkpoint.CheckpointError(
+            "base checkpoint already has adapters merged in; "
+            "merging twice would double the delta")
     adapters = lora.load_adapters(args.adapters, weights=base)
     merged = lora.merge_adapters(base, adapters)
     out_path = Path(args.out)
@@ -334,14 +336,12 @@ def cmd_eval(args) -> int:
         adapters = lora.load_adapters(args.adapters, weights=weights)
     _, eval_data = load_datasets(rc)
 
-    acc, loss = training.evaluate(weights, eval_data, adapters,
-                                  rc.train.batch_size)
+    logits = training.predict(weights, eval_data, adapters, rc.train.batch_size)
+    acc, loss = training.score(logits, eval_data, rc.train.batch_size)
     write_json(out / "eval.json", {
         "accuracy": acc, "loss": loss, "examples": eval_data.size,
     })
     if args.dump_logits:
-        logits = training.predict(weights, eval_data, adapters,
-                                  rc.train.batch_size)
         with open(args.dump_logits, "w", encoding="utf-8") as f:
             f.write(importance.matrix_to_csv(logits))
     print(f"eval accuracy {acc:.4f} loss {loss:.4f} on {eval_data.size} examples")

@@ -10,7 +10,6 @@ the higher rank.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .model import TransformerWeights
-from .schema import write_json
+from .schema import Record
 
 # adapter target -> the Block projection it attaches to
 TARGETS = {"q": "wq", "k": "wk", "v": "wv", "o": "wo"}
@@ -30,39 +29,12 @@ ADAPTER_INIT_STD = 0.02
 
 
 @dataclass
-class RankPlan:
+class RankPlan(Record):
     block_rank: list[int]
     n_high: int
     rank_high: int
     rank_low: int
     source_importance: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "block_rank": list(self.block_rank),
-            "n_high": self.n_high,
-            "rank_high": self.rank_high,
-            "rank_low": self.rank_low,
-            "source_importance": [float(v) for v in self.source_importance],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankPlan":
-        return cls(
-            block_rank=[int(r) for r in d["block_rank"]],
-            n_high=int(d["n_high"]),
-            rank_high=int(d["rank_high"]),
-            rank_low=int(d["rank_low"]),
-            source_importance=[float(v) for v in d.get("source_importance", [])],
-        )
-
-    def save(self, path) -> None:
-        write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "RankPlan":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
 
 def make_rank_plan(
@@ -225,7 +197,7 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
     if manifest.get("kind") != "adapters":
         raise CheckpointError(f"{path}: expected an adapter checkpoint")
     try:
-        plan = RankPlan.from_dict(manifest["rank_plan"])
+        plan = RankPlan.from_dict(manifest["rank_plan"], "rank_plan")
         seed = int(manifest["seed"])
         scaling = float(manifest["scaling"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(1e400)

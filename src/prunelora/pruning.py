@@ -9,24 +9,27 @@ for any plan, including blocks that lose every head.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor
 from .model import HEAD_AXES, HeadMask, TransformerWeights
-from .schema import write_json
+from .schema import Record
 
 
 @dataclass
-class PrunePlan:
-    keep: np.ndarray          # (L, H) bool, True = head survives
+class PrunePlan(Record):
+    keep: np.ndarray          # (L, H) bool, True = head survives; 0/1 on disk
     keep_count: int
     source_map_digest: str = ""
 
     def __post_init__(self):
-        self.keep = np.asarray(self.keep, dtype=bool)
+        keep = np.asarray(self.keep)
+        if keep.ndim != 2 or keep.dtype != bool and not (
+                keep.dtype.kind in "iu" and np.isin(keep, (0, 1)).all()):
+            raise ValueError("keep must be an (L, H) matrix of 0/1 entries")
+        self.keep = keep.astype(bool)
         if int(self.keep.sum()) != self.keep_count:
             raise ValueError(
                 f"plan keeps {int(self.keep.sum())} heads, expected {self.keep_count}"
@@ -42,27 +45,7 @@ class PrunePlan:
         return int(self.keep.size) - self.keep_count
 
     def to_dict(self) -> dict:
-        return {
-            "keep": self.keep.astype(int).tolist(),
-            "keep_count": self.keep_count,
-            "source_map_digest": self.source_map_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrunePlan":
-        return cls(
-            keep=np.asarray(d["keep"], dtype=bool),
-            keep_count=int(d["keep_count"]),
-            source_map_digest=d.get("source_map_digest", ""),
-        )
-
-    def save(self, path) -> None:
-        write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "PrunePlan":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return super().to_dict() | {"keep": self.keep.astype(int).tolist()}
 
 
 def select_heads(importance, keep_count: int, digest: str | None = None) -> PrunePlan:

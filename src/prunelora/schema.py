@@ -2,9 +2,9 @@
 
 A config section is a JSON object whose keys are the fields of the one
 dataclass that owns it. `parse_section` rejects anything else (an unknown
-or misplaced key, a section that is not an object, a scalar of the wrong
-type) with a ConfigError that names the section and key, so a typo never
-falls back to a default.
+or misplaced key, a section that is not an object, a scalar or list item
+of the wrong type) with a ConfigError that names the section and key, so a
+typo never falls back to a default.
 """
 
 from __future__ import annotations
@@ -21,9 +21,21 @@ class ConfigError(ValueError):
 _SCALARS = {"int": int, "float": (int, float), "str": str}
 
 
+def _matches(value, kind: str) -> bool:
+    """Whether `value` fits a scalar or `list[scalar]` annotation; a bool
+    is never a number."""
+    item = kind.removeprefix("list[").removesuffix("]")
+    if item != kind and item in _SCALARS:
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    want = _SCALARS.get(kind)
+    return want is None or (not isinstance(value, bool)
+                            and isinstance(value, want))
+
+
 def parse_section(raw, section: str, types: dict) -> dict:
     """Copy of `raw` after checking it is an object whose keys all lie in
-    `types` (key -> annotation) and whose scalars match their annotation.
+    `types` (key -> annotation) and whose scalars and scalar lists match
+    their annotation.
 
     A missing section (None) reads as {}.
     """
@@ -39,10 +51,9 @@ def parse_section(raw, section: str, types: dict) -> dict:
             raise ConfigError(f"unknown config key {name!r} "
                               f"(known keys: {', '.join(sorted(types))})")
         kind = types[key].removesuffix(" | None")
-        want = _SCALARS.get(kind)
-        if want is None or (value is None and kind != types[key]):
+        if value is None and kind != types[key]:
             continue
-        if isinstance(value, bool) or not isinstance(value, want):
+        if not _matches(value, kind):
             raise ConfigError(f"config key {name!r} must be {kind}, "
                               f"got {value!r}")
     return dict(raw)
@@ -56,7 +67,9 @@ def field_types(cls) -> dict:
 class Record:
     """Dataclass mixin: `to_dict` is `asdict`; `from_dict` is the
     constructor after `parse_section` and a check for required fields, and
-    turns a value the class rejects into a ConfigError too."""
+    turns a value the class rejects into a ConfigError too. `save` writes
+    `to_dict` as JSON; `load` reads it back through `from_dict`, naming
+    the file in every error."""
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -73,6 +86,18 @@ class Record:
             return cls(**d)
         except ValueError as e:
             raise ConfigError(f"config section {section!r}: {e}") from e
+
+    def save(self, path) -> None:
+        write_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path):
+        with open(path, encoding="utf-8") as f:
+            try:
+                raw = json.load(f)
+            except ValueError as e:  # not JSON, not UTF-8
+                raise ConfigError(f"cannot read {path}: {e}") from e
+        return cls.from_dict(raw, str(path))
 
 
 def write_json(path, obj) -> None:

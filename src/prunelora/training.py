@@ -232,14 +232,33 @@ class AdamW:
             p.zero_grad()
 
 
-def _batch_logits(weights, data, adapters, batch_size):
-    """(batch, logits) for each batch of the dataset, no gradient recording."""
-    for batch in batches(data, batch_size):
-        # no_grad around the forward only: a suspended generator must not
-        # leave recording off for its caller
-        with ag.no_grad():
-            logits = forward(weights, batch, adapters=adapters)
-        yield batch, logits
+def predict(
+    weights: TransformerWeights,
+    data: TokenBatch,
+    adapters: LoraAdapters | None = None,
+    batch_size: int = 32,
+) -> np.ndarray:
+    """Logits over the dataset, run in batches of `batch_size` rows, no
+    gradient recording."""
+    with ag.no_grad():
+        return np.concatenate(
+            [forward(weights, batch, adapters=adapters).data
+             for batch in batches(data, batch_size)],
+            axis=0,
+        )
+
+
+def score(logits: np.ndarray, data: TokenBatch, batch_size: int = 32):
+    """(accuracy, mean loss) of `predict`'s logits; the mean loss is summed
+    per batch of `batch_size` rows, so it has the bits of a per-batch pass."""
+    correct = int((logits.argmax(axis=-1) == data.labels).sum())
+    loss_sum = 0.0
+    for start in range(0, data.size, batch_size):
+        rows = slice(start, start + batch_size)
+        labels = data.labels[rows]
+        loss = ag.cross_entropy(logits[rows], labels)
+        loss_sum += float(loss.data) * labels.size
+    return correct / data.size, loss_sum / data.size
 
 
 def evaluate(
@@ -249,28 +268,7 @@ def evaluate(
     batch_size: int = 32,
 ):
     """(accuracy, mean loss) over the dataset, no gradient recording."""
-    correct = 0
-    loss_sum = 0.0
-    for batch, logits in _batch_logits(weights, data, adapters, batch_size):
-        pred = logits.data.argmax(axis=-1)
-        correct += int((pred == batch.labels).sum())
-        loss = ag.cross_entropy(logits, batch.labels)
-        loss_sum += float(loss.data) * batch.size
-    return correct / data.size, loss_sum / data.size
-
-
-def predict(
-    weights: TransformerWeights,
-    data: TokenBatch,
-    adapters: LoraAdapters | None = None,
-    batch_size: int = 32,
-) -> np.ndarray:
-    """Logits over the dataset, no gradient recording."""
-    return np.concatenate(
-        [logits.data for _, logits in
-         _batch_logits(weights, data, adapters, batch_size)],
-        axis=0,
-    )
+    return score(predict(weights, data, adapters, batch_size), data, batch_size)
 
 
 def train(

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunelora import checkpoint, count_params, lora
-from prunelora.cli import main
+from prunelora import checkpoint, count_params, lora, training
+from prunelora.cli import load_datasets, load_run_config, main
 from prunelora.importance import (
     csv_to_matrix,
     import_importance_csv,
@@ -314,6 +314,10 @@ ADAPTER_MANIFEST_DAMAGE = {
     "rank_plan a list": lambda m: m.update(rank_plan=[1]),
     "seed null": lambda m: m.update(seed=None),
     "seed inf": lambda m: m.update(seed=1e400),
+    "rank_plan n_high 1.5": lambda m: m["rank_plan"].update(n_high=1.5),
+    "rank_plan block_rank [true]":
+        lambda m: m["rank_plan"].update(block_rank=[True]),
+    "rank_plan unknown key": lambda m: m["rank_plan"].update(extra=1),
 }
 
 
@@ -348,6 +352,23 @@ def test_malformed_importance_meta_exits_2(config_path, tmp_path, capsys,
     if isinstance(meta, dict):
         meta = {**json.loads((imp / "importance_meta.json").read_text()),
                 **meta}
+    (imp / "importance_meta.json").write_text(json.dumps(meta))
+    assert run("prune", "--config", config_path,
+               "--checkpoint", imp / "model.ckpt",
+               "--importance", imp / "importance.csv",
+               "--out", tmp_path / "pruned") == 2
+    assert "importance_meta.json" in capsys.readouterr().err
+    assert not (tmp_path / "pruned" / "pruned.ckpt").exists()
+
+
+@pytest.mark.parametrize("meta", [None, "no digest"], ids=repr)
+def test_importance_meta_without_digest_exits_2(config_path, tmp_path, capsys,
+                                                meta):
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    if meta is not None:
+        meta = json.loads((imp / "importance_meta.json").read_text())
+        del meta["digest"]
     (imp / "importance_meta.json").write_text(json.dumps(meta))
     assert run("prune", "--config", config_path,
                "--checkpoint", imp / "model.ckpt",
@@ -514,6 +535,29 @@ def test_labels_beyond_model_classes_are_config_errors(tmp_path, capsys,
     assert run(command, "--config", cfg, "--out", tmp_path / "x", *extra) == 2
     err = capsys.readouterr().err
     assert named in err and "model.num_classes 2" in err
+
+
+def test_eval_dump_logits_runs_the_eval_set_once(config_path, tmp_path,
+                                                 monkeypatch):
+    imp, ev = tmp_path / "imp", tmp_path / "ev"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    calls = []
+    forward = training.forward
+    monkeypatch.setattr(training, "forward",
+                        lambda *a, **k: calls.append(1) or forward(*a, **k))
+    assert run("eval", "--config", config_path, "--checkpoint",
+               imp / "model.ckpt", "--out", ev,
+               "--dump-logits", ev / "logits.csv") == 0
+    assert len(calls) == 2  # 64 eval rows in batches of 32
+    monkeypatch.undo()
+    # the one pass gives evaluate's accuracy and loss and predict's logits
+    weights, _ = checkpoint.load_model(imp / "model.ckpt")
+    _, eval_data = load_datasets(load_run_config(config_path))
+    acc, loss = training.evaluate(weights, eval_data, None, 32)
+    assert json.loads((ev / "eval.json").read_text()) == {
+        "accuracy": acc, "loss": loss, "examples": 64}
+    assert (ev / "logits.csv").read_text() == matrix_to_csv(
+        training.predict(weights, eval_data, None, 32))
 
 
 def test_eval_checkpoint_with_fewer_classes_is_config_error(tmp_path, capsys):

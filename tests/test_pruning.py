@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from prunelora import (
     PrunePlan,
+    RankPlan,
     apply_mask_prune,
     apply_slice_prune,
     forward,
@@ -12,6 +15,7 @@ from prunelora import (
 from prunelora.accounting import per_head_params
 from prunelora.autograd import Tensor
 from prunelora.model import HeadMask
+from prunelora.schema import ConfigError
 
 
 def random_plan(rng, shape=(4, 4), zero_block=None):
@@ -184,6 +188,55 @@ def test_plan_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.keep, plan.keep)
     assert loaded.keep_count == plan.keep_count
     assert loaded.source_map_digest == "abc123"
+
+
+GOOD_PLANS = {
+    PrunePlan: {"keep": [[1, 0], [0, 1]], "keep_count": 2,
+                "source_map_digest": "abc"},
+    RankPlan: {"block_rank": [8, 4], "n_high": 1, "rank_high": 8,
+               "rank_low": 4, "source_importance": [0.9, 0.1]},
+}
+PLAN_DAMAGE = {
+    "prune list": (PrunePlan, lambda d: [1]),
+    "prune no keep_count": (PrunePlan, lambda d: without(d, "keep_count")),
+    "prune unknown key": (PrunePlan, lambda d: {**d, "extra": 1}),
+    "prune keep_count str": (PrunePlan, lambda d: {**d, "keep_count": "2"}),
+    "prune keep 2": (PrunePlan, lambda d: {**d, "keep": [[2, 0], [0, 1]]}),
+    "prune keep str": (PrunePlan, lambda d: {**d, "keep": [["a", 0], [0, 1]]}),
+    "prune keep 0.5": (PrunePlan, lambda d: {**d, "keep": [[0.5, 0], [0, 1]]}),
+    "prune keep 1-D": (PrunePlan, lambda d: {**d, "keep": [1, 0, 0, 1]}),
+    "rank list": (RankPlan, lambda d: [1]),
+    "rank no n_high": (RankPlan, lambda d: without(d, "n_high")),
+    "rank unknown key": (RankPlan, lambda d: {**d, "extra": 1}),
+    "rank n_high 1.5": (RankPlan, lambda d: {**d, "n_high": 1.5}),
+    "rank block_rank true": (RankPlan, lambda d: {**d, "block_rank": [True]}),
+    "rank block_rank str": (RankPlan, lambda d: {**d, "block_rank": ["4"]}),
+    "rank importance bool": (RankPlan,
+                             lambda d: {**d, "source_importance": [False]}),
+}
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("damage", list(PLAN_DAMAGE))
+def test_malformed_plan_file_is_config_error(tmp_path, damage):
+    cls, change = PLAN_DAMAGE[damage]
+    path = tmp_path / "damaged_plan.json"
+    path.write_text(json.dumps(GOOD_PLANS[cls]))
+    assert cls.load(path).to_dict() == GOOD_PLANS[cls]
+    path.write_text(json.dumps(change(GOOD_PLANS[cls])))
+    with pytest.raises(ConfigError, match="damaged_plan.json"):
+        cls.load(path)
+
+
+@pytest.mark.parametrize("cls", [PrunePlan, RankPlan])
+def test_plan_file_that_is_not_json_is_config_error(tmp_path, cls):
+    path = tmp_path / "damaged_plan.json"
+    path.write_text(json.dumps(GOOD_PLANS[cls])[:-1])
+    with pytest.raises(ConfigError, match="damaged_plan.json"):
+        cls.load(path)
 
 
 def test_plan_inconsistent_count_rejected():
