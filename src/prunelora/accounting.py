@@ -4,7 +4,9 @@ Counts are exact integer arithmetic over the model geometry, never a walk
 over materialized arrays (tests cross-check against such walks). FLOPs use
 the 1 MAC = 2 FLOPs convention; per-element costs of non-matmul ops are
 fixed documented constants (softmax 5/element over the score matrices,
-layernorm 8/element, embedding 2 adds/element).
+layernorm 8/element, embedding 2 adds/element). The FLOPs follow the
+forward pass, whose last block computes only the CLS row past its K/V
+projections (`estimate_flops`).
 
 Externally reported figures for the bert-base-uncased setup these formulas
 mirror are kept here for side-by-side reporting; the closed-form counts
@@ -93,10 +95,11 @@ def count_params(
     """Exact parameter accounting for (config, prune plan, rank plan).
 
     `prune_plan` may be a PrunePlan, a kept-heads-per-block list, a bare
-    keep count (per-block breakdown then collapses to aggregate lines), or
-    None. `rank_plan` (RankPlan or per-block rank list) adds adapter
-    counts and switches `trainable_params` to the adapter freeze policy:
-    LayerNorms + adapters + classifier. Without one, everything trains.
+    keep count (per-block breakdown then collapses to aggregate lines, and
+    the FLOPs place the heads by `spread_keep_count`), or None.
+    `rank_plan` (RankPlan or per-block rank list) adds adapter counts and
+    switches `trainable_params` to the adapter freeze policy: LayerNorms +
+    adapters + classifier. Without one, everything trains.
     """
     d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
     kept, kept_total = _normalize_kept(config, prune_plan)
@@ -195,38 +198,60 @@ class FlopsReport:
         }
 
 
+def spread_keep_count(config: ModelConfig, keep_count: int) -> list[int]:
+    """Kept heads per block for a bare keep count: spread evenly, the
+    extras in the earliest blocks (10 over 4 blocks -> [3, 3, 2, 2])."""
+    base, extra = divmod(keep_count, config.num_layers)
+    return [base + (l < extra) for l in range(config.num_layers)]
+
+
 def estimate_flops(config: ModelConfig, prune_plan=None, seq_len: int = 128) -> FlopsReport:
     """Analytic single-example forward cost at the given sequence length.
 
-    Matmul terms mirror the forward pass exactly (the instrumented engine
-    counter reproduces them to the FLOP); MHA cost is linear in the kept
-    head count of each block. Attention is computed over the full padded
-    length, which is what the forward pass does too.
+    Every term mirrors the forward pass (the instrumented engine counter
+    reproduces the matmul terms to the FLOP). Attention is computed over
+    the full padded length, which is what the forward pass does too. The
+    pooler reads only the CLS row of the last block, so that block
+    projects K and V for every position but computes its Q, its scores
+    (one query against `seq_len` keys), its output projection, LayerNorms,
+    FFN, biases and residual adds for the CLS row alone. MHA cost is
+    linear in the kept head count of each block.
+
+    Since the last block costs less per head than the others, the count
+    depends on where the kept heads sit. A bare keep count is spread by
+    `spread_keep_count`; only a per-block plan (a PrunePlan or a
+    kept-per-block list) reconciles exactly with the engine.
     """
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
     d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
     s, num_layers, classes = seq_len, config.num_layers, config.num_classes
-    _, kept_total = _normalize_kept(config, prune_plan)
-    w_total = kept_total * d_h  # sum of per-block projection widths
+    kept, kept_total = _normalize_kept(config, prune_plan)
+    if kept is None:
+        kept = spread_keep_count(config, kept_total)
 
-    # MACs: Q/K/V projections, scores, attention*V, output projection
-    mha_macs = 4 * s * d * w_total + 2 * s * s * w_total
-    ffn_macs = num_layers * 2 * s * d * d_f
+    mha_macs = ffn_macs = score_cells = ln_cells = other = 0
+    for l, heads in enumerate(kept):
+        w = heads * d_h  # the block's projection width
+        r = 1 if l == num_layers - 1 else s  # query rows: CLS in the last
+        # MACs: Q over r rows, K/V over s, scores and attention*V for r
+        # queries against s keys, output projection over r rows
+        mha_macs += (2 * s + 2 * r) * d * w + 2 * r * s * w
+        ffn_macs += 2 * r * d * d_f
+        cells = r * s * heads
+        score_cells += cells
+        ln_cells += 2 * r * d
+        other += (
+            (2 * s + r) * w      # Q/K/V bias adds
+            + r * d              # output-projection bias
+            + 2 * cells          # score scaling + padding bias add
+            + r * (d_f + d)      # FFN biases
+            + r * d_f            # relu
+            + 2 * r * d          # residual adds
+        )
+    ln_cells += s * d  # embedding LayerNorm
+    other += d + d + classes  # pooler bias + tanh, classifier bias
     head_macs = d * d + d * classes
-
-    score_cells = s * s * kept_total
-    ln_cells = (2 * num_layers + 1) * s * d
-    other = (
-        3 * s * w_total            # Q/K/V bias adds
-        + num_layers * s * d       # output-projection bias
-        + 2 * score_cells          # score scaling + padding bias add
-        + num_layers * (s * d_f + s * d)  # FFN biases
-        + num_layers * s * d_f     # relu
-        + 2 * num_layers * s * d   # residual adds
-        + d + d                    # pooler bias + tanh
-        + classes                  # classifier bias
-    )
     return FlopsReport(
         seq_len=s,
         mha_matmul_flops=2 * mha_macs,

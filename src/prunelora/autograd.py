@@ -32,13 +32,18 @@ A transformer block is built from two fused ops, one graph node each:
   side path `scaling * (x @ A) @ B` when an adapter is attached.
 - `attention(q, k, v, bias, d_h, xi, heads)` is the scaled dot-product
   attention of every kept head of a block, each head optionally scaled by
-  its head-mask scalar.
+  its head-mask scalar. Its queries need not be as many as its keys: `q`
+  may be `(b, s_q, w)` or, one query per row, `(b, w)`, against `(b, s, w)`
+  keys and values. The model's last block passes only the CLS row, and
+  `accounting.estimate_flops` counts that block's terms for one query
+  (spreading a bare keep count evenly over the blocks, the extras first).
 
 Their backward passes are written out by hand (see each op). Both accept
 width 0, so a block that lost every head needs no op of its own. The
 other ops are the ones the model runs between them: `add`, `relu`,
-`tanh`, `layernorm`, `embedding`, `first_token` and `cross_entropy`.
-`count_macs` counts the products of `linear` and `attention`.
+`tanh`, `layernorm`, `embedding`, `first_token` (the CLS-row select at the
+last block's input) and `cross_entropy`. `count_macs` counts the products
+of `linear` and `attention`.
 """
 
 from __future__ import annotations
@@ -401,26 +406,32 @@ def linear(x, W, b, adapter=None) -> Tensor:
 def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
     """Scaled dot-product attention of every kept head of a block, one node.
 
-    `q`, `k` and `v` are `(b, s, H * d_h)`, head j in columns
-    `[j * d_h, (j + 1) * d_h)`. `bias` is added to every head's scores
-    (shape broadcastable to `(b, s, s)`, e.g. a padding bias on keys).
-    Returns the head outputs side by side, `(b, s, H * d_h)`.
+    `k` and `v` are `(b, s, H * d_h)`, head j in columns
+    `[j * d_h, (j + 1) * d_h)`. `q` holds the queries, which need not be
+    as many as the keys: `(b, s_q, H * d_h)`, or `(b, H * d_h)` for one
+    query per row (the model's last block asks only for its CLS row).
+    `bias` is added to every head's scores (shape broadcastable to
+    `(b, s_q, s)`, e.g. a padding bias on keys). Returns the head outputs
+    side by side, in q's shape.
 
     `heads` is `(layer, original index of each kept head)`; with a head
     mask `xi` of shape `(layers, original heads)`, head j's output is
     scaled by `xi[layer, heads[1][j]]`.
 
     Forward loops over the heads on contiguous per-head slices, which keeps
-    the per-head GEMM shape. Backward is written out: per head, the
-    mask-scalar gradient `d xi = sum(g_j * head_j)` over the unmasked
-    head output, then the softmax backward `p * (g - sum(g * p))`.
+    the per-head GEMM shape; it costs `2 * s * q.size` MACs. Backward is
+    written out: per head, the mask-scalar gradient
+    `d xi = sum(g_j * head_j)` over the unmasked head output, then the
+    softmax backward `p * (g - sum(g * p))`; `dq` comes back in q's shape,
+    `dk` and `dv` in k's.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+    shape, q_shape = k.data.shape, q.data.shape
+    if (len(shape) != 3 or v.data.shape != shape or len(q_shape) not in (2, 3)
+            or q_shape[0] != shape[0] or q_shape[-1] != shape[-1]):
         raise ValueError(
-            f"attention: q, k, v must share one (b, s, dim) shape, got "
-            f"{shape}, {k.data.shape}, {v.data.shape}"
+            f"attention: k and v must share one (b, s, dim) shape, and q "
+            f"its b and dim, got {q_shape}, {shape}, {v.data.shape}"
         )
     if d_h < 1 or shape[-1] % d_h:
         raise ValueError(f"attention: width {shape[-1]} is not a multiple of d_h {d_h}")
@@ -439,11 +450,13 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
     # the mask gradient needs each head's output before the mask scaled it
     mask_grad = xi is not None and xi.requires_grad and _grad_enabled
     scale = 1.0 / math.sqrt(d_h)
-    out = np.empty(shape)
+    # queries as (b, s_q, width); a view of q's data
+    qd = q.data if len(q_shape) == 3 else q.data[:, None, :]
+    out = np.empty(qd.shape)
     probs, unmasked = [], []
     for j, orig in enumerate(kept):
         cols = slice(j * d_h, (j + 1) * d_h)
-        scores = (np.ascontiguousarray(q.data[..., cols])
+        scores = (np.ascontiguousarray(qd[..., cols])
                   @ k.data[..., cols].swapaxes(-1, -2).copy())
         scores *= scale
         scores += bias
@@ -460,11 +473,12 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
                 unmasked.append(head)
         probs.append(scores)
     if _mac_counters:
-        # per head: (b, s, d_h) @ (b, d_h, s), then (b, s, s) @ (b, s, d_h)
+        # per head: (b, s_q, d_h) @ (b, d_h, s), then (b, s_q, s) @ (b, s, d_h)
         _count_macs(2 * shape[1] * q.data.size)
 
     def bwd(g):
-        dq = np.empty(shape) if q.requires_grad else None
+        g = g.reshape(qd.shape)
+        dq = np.empty(qd.shape) if q.requires_grad else None
         dk = np.empty(shape) if k.requires_grad else None
         dv = np.empty(shape) if v.requires_grad else None
         dxi = np.zeros(xi.data.shape) if mask_grad else None
@@ -488,12 +502,14 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
             if dq is not None:
                 dq[..., cols] = gp @ k.data[..., cols]
             if dk is not None:
-                dk[..., cols] = gp.swapaxes(-1, -2) @ q.data[..., cols]
+                dk[..., cols] = gp.swapaxes(-1, -2) @ qd[..., cols]
+        if dq is not None:
+            dq = dq.reshape(q_shape)
         for t, grad in ((q, dq), (k, dk), (v, dv), (xi, dxi)):
             if grad is not None:
                 t.accumulate_grad(grad, fresh=True)
 
-    return _from_op(out, parents, bwd)
+    return _from_op(out.reshape(q_shape), parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +549,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def first_token(x: Tensor) -> Tensor:
-    """Select position 0 of a (batch, seq, dim) tensor -> (batch, dim)."""
+    """Select position 0 of a (batch, seq, dim) tensor -> (batch, dim).
+
+    The model's last block runs on this CLS row; its backward writes
+    zeros to every other position.
+    """
     x = _as_tensor(x)
 
     def bwd(g):

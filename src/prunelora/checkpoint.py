@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from .autograd import Tensor
+from .schema import field_types, parse_section
 
 MAGIC = b"PLCK"
 FORMAT_VERSION = 1
@@ -218,11 +219,12 @@ def load_model(path, digest: bool = False):
         raise CheckpointError(f"{path}: expected a model checkpoint")
     try:
         config = ModelConfig.from_dict(manifest["config"], "config")
-        head_index_map = [list(map(int, row))
-                          for row in manifest["head_index_map"]]
+        head_index_map = parse_section(
+            {"head_index_map": manifest["head_index_map"]}, "model manifest",
+            field_types(TransformerWeights))["head_index_map"]
     except KeyError as e:
         raise CheckpointError(f"{path}: manifest has no {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:  # int(1e400)
+    except ValueError as e:
         raise CheckpointError(f"{path}: bad model manifest: {e}") from e
     if len(head_index_map) != config.num_layers:
         raise CheckpointError(f"{path}: head_index_map has wrong number of blocks")

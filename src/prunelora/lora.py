@@ -10,6 +10,7 @@ the higher rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .model import TransformerWeights
-from .schema import Record
+from .schema import Record, field_types, parse_section
 
 # adapter target -> the Block projection it attaches to
 TARGETS = {"q": "wq", "k": "wk", "v": "wv", "o": "wo"}
@@ -198,9 +199,12 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
         raise CheckpointError(f"{path}: expected an adapter checkpoint")
     try:
         plan = RankPlan.from_dict(manifest["rank_plan"], "rank_plan")
-        seed = int(manifest["seed"])
-        scaling = float(manifest["scaling"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(1e400)
+        header = parse_section({key: manifest[key] for key in ("seed", "scaling")},
+                               "adapter manifest", field_types(LoraAdapters))
+        scaling = float(header["scaling"])
+        if not math.isfinite(scaling):
+            raise ValueError(f"scaling {scaling} is not finite")
+    except (KeyError, ValueError, OverflowError) as e:  # float(10 ** 400)
         raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
     pairs = []
     for l, r in enumerate(plan.block_rank):
@@ -220,7 +224,7 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
     adapters = LoraAdapters(
         pairs=pairs,
         plan=plan,
-        seed=seed,
+        seed=header["seed"],
         scaling=scaling,
     )
     if weights is not None:

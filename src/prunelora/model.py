@@ -8,6 +8,18 @@ all kept heads together, is one `autograd.attention` node. Every attention
 head output is multiplied by its mask scalar before concatenation, so head
 saliency is one backward pass away.
 
+The pooler reads only the first (CLS) position of the last block's
+output, so the last block computes only that row: its K and V project
+every position, while its Q, its attention queries, output projection,
+LayerNorms and FFN run on the CLS row, `(b, hidden)` instead of
+`(b, s, hidden)`. The CLS-row select (`autograd.first_token`) sits at that
+block's input, and the pooler reads the block's output directly. The
+logits are those of the same blocks computed over every position, up to
+summation order (well below 1e-10). `accounting.estimate_flops` counts the
+same CLS-row terms, so a head costs less in the last block than in the
+others, and a bare keep count (no per-block plan) is costed with its heads
+spread evenly, the extras in the earliest blocks.
+
 Weights may be head-pruned: per block, Q/K/V keep a column slice per kept
 head and the output projection keeps the matching row slice. The original
 indices of kept heads live in `head_index_map` (identity when unpruned).
@@ -322,23 +334,27 @@ def forward(
     )
     x = ag.layernorm(x, weights.emb_ln_gamma, weights.emb_ln_beta, cfg.layernorm_eps)
 
+    last = len(weights.blocks) - 1
     for l, blk in enumerate(weights.blocks):
         # Block part name -> (A, B, scaling) of each adapted projection
         adapted = {} if adapters is None else adapters.by_part(l)
-        q = ag.linear(x, blk.wq, blk.bq, adapted.get("wq"))
+        # the pooler reads only the CLS row of the last block's output, so
+        # that block's queries, and everything after its attention, run
+        # on the CLS row alone: (b, d) rows instead of (b, s, d)
+        rows = ag.first_token(x) if l == last else x
+        q = ag.linear(rows, blk.wq, blk.bq, adapted.get("wq"))
         k = ag.linear(x, blk.wk, blk.bk, adapted.get("wk"))
         v = ag.linear(x, blk.wv, blk.bv, adapted.get("wv"))
         heads = ag.attention(q, k, v, attn_bias, cfg.head_dim,
                              xi=None if mask is None else mask.xi,
                              heads=(l, weights.head_index_map[l]))
         mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
-        x = ag.layernorm(ag.add(x, mha), blk.ln1_gamma, blk.ln1_beta,
+        x = ag.layernorm(ag.add(rows, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
         up = ag.relu(ag.linear(x, blk.w_up, blk.b_up))
         ff = ag.linear(up, blk.w_down, blk.b_down)
         x = ag.layernorm(ag.add(x, ff), blk.ln2_gamma, blk.ln2_beta,
                          cfg.layernorm_eps)
 
-    pooled = ag.tanh(ag.linear(ag.first_token(x), weights.pooler_w,
-                               weights.pooler_b))
+    pooled = ag.tanh(ag.linear(x, weights.pooler_w, weights.pooler_b))
     return ag.linear(pooled, weights.classifier_w, weights.classifier_b)

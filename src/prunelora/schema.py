@@ -22,10 +22,10 @@ _SCALARS = {"int": int, "float": (int, float), "str": str}
 
 
 def _matches(value, kind: str) -> bool:
-    """Whether `value` fits a scalar or `list[scalar]` annotation; a bool
-    is never a number."""
+    """Whether `value` fits a scalar annotation or a list (of lists) of
+    one, such as `list[list[int]]`; a bool is never a number."""
     item = kind.removeprefix("list[").removesuffix("]")
-    if item != kind and item in _SCALARS:
+    if item != kind:
         return isinstance(value, list) and all(_matches(v, item) for v in value)
     want = _SCALARS.get(kind)
     return want is None or (not isinstance(value, bool)
@@ -34,8 +34,8 @@ def _matches(value, kind: str) -> bool:
 
 def parse_section(raw, section: str, types: dict) -> dict:
     """Copy of `raw` after checking it is an object whose keys all lie in
-    `types` (key -> annotation) and whose scalars and scalar lists match
-    their annotation.
+    `types` (key -> annotation) and whose scalars and (nested) scalar lists
+    match their annotation.
 
     A missing section (None) reads as {}.
     """

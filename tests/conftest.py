@@ -11,6 +11,7 @@ import struct  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from prunelora import (  # noqa: E402
     ModelConfig,
@@ -22,6 +23,16 @@ from prunelora import (  # noqa: E402
 )
 from prunelora import autograd as ag  # noqa: E402
 from prunelora.checkpoint import MAGIC  # noqa: E402
+
+# Example budgets of the property tests (tests/test_properties.py); tests
+# that set their own budget keep it. Tier-1 runs "tier1";
+# `pytest --hypothesis-profile=ci` runs the larger budget. Both are
+# derandomized: every run of a profile draws the same examples.
+settings.register_profile("tier1", max_examples=10, derandomize=True,
+                          deadline=None, database=None)
+settings.register_profile("ci", max_examples=100, derandomize=True,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def finite_diff(f, tensor, h=1e-5):

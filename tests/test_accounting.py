@@ -18,6 +18,7 @@ from prunelora.accounting import (
     format_report_table,
     human_count,
     per_head_params,
+    spread_keep_count,
 )
 from prunelora.data import SyntheticTaskSpec, generate
 from prunelora.model import tensor_shapes
@@ -150,6 +151,32 @@ def test_pruning_half_the_heads_halves_mha_flops(toy_config):
     half = estimate_flops(toy_config, prune_plan=[2, 2, 2, 2], seq_len=16)
     assert half.mha_matmul_flops * 2 == full.mha_matmul_flops
     assert half.ffn_matmul_flops == full.ffn_matmul_flops
+
+
+def test_last_block_costs_one_query_row(toy_config):
+    """The last block computes Q, scores, output projection, FFN and
+    LayerNorms for the CLS row only; K and V still cover every position."""
+    s, d, d_f, d_h = 16, toy_config.hidden, toy_config.ffn_dim, toy_config.head_dim
+    early = estimate_flops(toy_config, prune_plan=[1, 0, 0, 0], seq_len=s)
+    last = estimate_flops(toy_config, prune_plan=[0, 0, 0, 1], seq_len=s)
+    assert early.mha_matmul_flops == 2 * (4 * s * d * d_h + 2 * s * s * d_h)
+    assert last.mha_matmul_flops == 2 * ((2 * s + 2) * d * d_h + 2 * s * d_h)
+    assert early.softmax_flops == 5 * s * s and last.softmax_flops == 5 * s
+    full = estimate_flops(toy_config, seq_len=s)
+    assert full.ffn_matmul_flops == 2 * (3 * s + 1) * 2 * d * d_f
+    assert full.layernorm_flops == 8 * ((2 * 3 + 1) * s + 2) * d
+
+
+def test_bare_keep_count_spreads_heads_from_the_first_block(toy_config):
+    assert spread_keep_count(toy_config, 10) == [3, 3, 2, 2]
+    assert spread_keep_count(toy_config, 16) == [4, 4, 4, 4]
+    assert spread_keep_count(toy_config, 1) == [1, 0, 0, 0]
+    for keep in (0, 5, 10, 16):
+        assert estimate_flops(toy_config, keep, 16) == estimate_flops(
+            toy_config, spread_keep_count(toy_config, keep), 16)
+    # where the kept heads sit changes the count: the last block's are cheaper
+    assert (estimate_flops(toy_config, [2, 2, 3, 3], 16).total_flops
+            < estimate_flops(toy_config, 10, 16).total_flops)
 
 
 def test_zero_head_model_has_zero_mha_flops(toy_config):

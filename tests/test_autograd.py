@@ -458,6 +458,32 @@ def test_attention_shape_errors():
         ag.attention(t["q"], t["k"], t["v"], bias, 3, xi=t["xi"])
     with pytest.raises(ValueError, match="share one"):
         ag.attention(t["q"], t["k"], Tensor(np.zeros((2, 4, 3))), bias, 3)
+    for q in (np.zeros((1, 4, 6)), np.zeros((2, 4, 3)), np.zeros((2, 6, 1, 1)),
+              np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="share one"):
+            ag.attention(q, t["k"], t["v"], bias, 3)
+
+
+@pytest.mark.parametrize("trainable", [("q", "k", "v", "xi"), ("k",), ("xi",)])
+def test_one_query_per_row_attends_like_the_first_of_all_queries(trainable):
+    """A (b, width) query is one query per row: its output is row 0 of the
+    all-query output and has q's shape; dq comes back in q's shape, dk and
+    dv in k's, and the MAC count is 2 * s * q.size."""
+    t, bias = attention_inputs(trainable)
+    full = ag.attention(t["q"].data, t["k"].data, t["v"].data, bias, 3,
+                        xi=t["xi"].data, heads=(1, [0, 2]))
+    t["q"] = Tensor(t["q"].data[:, 0], requires_grad="q" in trainable)
+
+    def build():
+        return ag.attention(t["q"], t["k"], t["v"], bias, 3, xi=t["xi"],
+                            heads=(1, [0, 2]))
+
+    with ag.count_macs() as counter:
+        out = build()
+    assert out.data.shape == (2, 6)
+    assert np.abs(out.data - full.data[:, 0]).max() < 1e-15
+    assert counter.macs == 2 * 4 * 12
+    check_gradients(build, list(t.values()))
 
 
 def test_mac_counter_counts_fused_ops():

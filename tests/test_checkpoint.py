@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunelora import checkpoint, init_adapters, init_weights, make_rank_plan
+from prunelora import (
+    PrunePlan,
+    apply_slice_prune,
+    checkpoint,
+    init_adapters,
+    init_weights,
+    make_rank_plan,
+)
 from prunelora.autograd import NonFiniteError
 from prunelora.checkpoint import CheckpointError
 from prunelora.lora import save_adapters
@@ -143,6 +150,16 @@ BAD_MODEL_MANIFESTS = {
                     "num_heads must be positive"),
     "head index inf": (lambda m: m["head_index_map"][0].insert(0, 1e400),
                        "bad model manifest"),
+    "head index float": (lambda m: m["head_index_map"][0].__setitem__(1, 1.0),
+                         "bad model manifest"),
+    "head index true": (lambda m: m["head_index_map"][0].__setitem__(1, True),
+                        "bad model manifest"),
+    "head index string": (lambda m: m["head_index_map"][0].__setitem__(1, "1"),
+                          "bad model manifest"),
+    "head_index_map row not a list": (
+        lambda m: m["head_index_map"].__setitem__(0, 0), "bad model manifest"),
+    "head_index_map an object": (lambda m: m.update(head_index_map={}),
+                                 "bad model manifest"),
 }
 
 
@@ -154,6 +171,23 @@ def test_bad_model_manifest_value_raises_checkpoint_error(toy_weights,
     checkpoint.save_model(path, toy_weights)
     path.write_bytes(repack_checkpoint(path, edit))
     with pytest.raises(CheckpointError, match=message):
+        checkpoint.load_model(path)
+
+
+def test_head_index_map_entries_are_not_rounded(toy_weights, tmp_path):
+    """Indices that would round to a valid map ([0, 1] in blocks 0 and 1)
+    are still refused: a float, a bool or a string is not a head index."""
+    keep = np.zeros((4, 4), dtype=bool)
+    keep[:, :2] = True
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, apply_slice_prune(toy_weights, PrunePlan(keep, 8)))
+    assert checkpoint.load_model(path)[0].head_index_map[:2] == [[0, 1], [0, 1]]
+
+    def edit(m):
+        m["head_index_map"][:2] = [[0.5, 1.9], [False, "1"]]
+
+    path.write_bytes(repack_checkpoint(path, edit))
+    with pytest.raises(CheckpointError, match="bad model manifest"):
         checkpoint.load_model(path)
 
 

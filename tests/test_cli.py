@@ -318,6 +318,12 @@ ADAPTER_MANIFEST_DAMAGE = {
     "rank_plan block_rank [true]":
         lambda m: m["rank_plan"].update(block_rank=[True]),
     "rank_plan unknown key": lambda m: m["rank_plan"].update(extra=1),
+    "seed 1.5": lambda m: m.update(seed=1.5),
+    "seed true": lambda m: m.update(seed=True),
+    "scaling a string": lambda m: m.update(scaling="2"),
+    "scaling false": lambda m: m.update(scaling=False),
+    "scaling inf": lambda m: m.update(scaling=1e400),
+    "scaling nan": lambda m: m.update(scaling=float("nan")),
 }
 
 

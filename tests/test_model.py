@@ -306,8 +306,9 @@ def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
             weights = apply_slice_prune(weights, PrunePlan(keep, 12))
         return regime_graph_nodes(weights, regime, batch, mask)
 
-    # full_finetune: 4 x 12 block nodes, 6 embedding nodes, pooler and
-    # classifier (first_token, linear, tanh, linear) and the loss
+    # full_finetune: 4 x 12 block nodes, the last block's CLS-row select
+    # (first_token), 6 embedding nodes, pooler and classifier (linear,
+    # tanh, linear) and the loss
     assert count("full_finetune") == 59
     # frozen embeddings record only their LayerNorm
     assert count("lora") == 54

@@ -1,0 +1,219 @@
+"""The paper's invariants as properties over drawn geometries, batches and
+prune plans, and finite differences through attention with fewer queries
+than keys.
+
+Configs have 1-3 blocks of 1-4 heads of width 1-8; batches have 1-4 rows
+of 1-6 positions, right-padded, some with a row that holds only CLS; prune
+plans may empty any block, the last one included. Examples are
+derandomized, so every run draws the same ones. The example budget comes
+from the hypothesis profile (tests/conftest.py): a few per property in
+tier-1, more under `pytest --hypothesis-profile=ci`.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from prunelora import autograd as ag
+from prunelora import (
+    ModelConfig,
+    PrunePlan,
+    TokenBatch,
+    apply_mask_prune,
+    apply_slice_prune,
+    estimate_flops,
+    forward,
+    init_adapters,
+    init_weights,
+    make_rank_plan,
+    merge_adapters,
+)
+from prunelora.autograd import Tensor
+from prunelora.model import PAD_SCORE
+
+from conftest import finite_diff, rel_err, weighted_sum
+
+CLS = 2
+VOCAB = 8
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def cases(draw):
+    """(weights, batch, prune plan): random weights (biases and LayerNorm
+    scales too), a right-padded batch, and any keep pattern."""
+    heads = draw(st.integers(1, 4))
+    cfg = ModelConfig(num_layers=draw(st.integers(1, 3)), num_heads=heads,
+                      hidden=heads * draw(st.integers(1, 8)),
+                      ffn_dim=draw(st.integers(1, 8)), vocab_size=VOCAB,
+                      max_positions=6, num_classes=draw(st.integers(2, 3)))
+    rng = np.random.default_rng(draw(SEEDS))
+    weights = init_weights(cfg, seed=0)
+    for _, t in weights.named_tensors():
+        t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
+
+    b, s = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, s), min_size=b, max_size=b))
+    if draw(st.booleans()):
+        lengths[-1] = 1  # a row that holds only CLS
+    att = (np.arange(s) < np.array(lengths)[:, None]).astype(np.int64)
+    ids = rng.integers(3, VOCAB, (b, s)) * att
+    ids[:, 0] = CLS
+    batch = TokenBatch(ids, att, rng.integers(0, cfg.num_classes, b))
+
+    keep = np.array(draw(st.lists(st.booleans(), min_size=cfg.num_layers * heads,
+                                  max_size=cfg.num_layers * heads)))
+    keep = keep.reshape(cfg.num_layers, heads)
+    if draw(st.booleans()):
+        keep[-1] = False  # the last block loses every head
+    return weights, batch, PrunePlan(keep, int(keep.sum()))
+
+
+def logits(weights, batch, **kw):
+    with ag.no_grad():
+        return forward(weights, batch, **kw).data
+
+
+def reference_logits(weights, batch):
+    """The encoder classifier in numpy, every block over every position."""
+    cfg = weights.config
+    d_h = cfg.head_dim
+
+    def ln(v, gamma, beta):
+        mu = v.mean(-1, keepdims=True)
+        var = ((v - mu) ** 2).mean(-1, keepdims=True)
+        return (v - mu) / np.sqrt(var + cfg.layernorm_eps) * gamma.data + beta.data
+
+    ids, s = batch.token_ids, batch.token_ids.shape[1]
+    x = ln(weights.tok_emb.data[ids] + weights.pos_emb.data[:s]
+           + weights.type_emb.data[0], weights.emb_ln_gamma, weights.emb_ln_beta)
+    bias = ((1 - batch.attention_mask) * PAD_SCORE)[:, None, :]
+    for blk in weights.blocks:
+        q, k, v = (x @ w.data + b.data for w, b in
+                   ((blk.wq, blk.bq), (blk.wk, blk.bk), (blk.wv, blk.bv)))
+        heads = [np.zeros(x.shape[:-1] + (0,))]
+        for j in range(q.shape[-1] // d_h):
+            cols = slice(j * d_h, (j + 1) * d_h)
+            scores = q[..., cols] @ k[..., cols].swapaxes(-1, -2) / math.sqrt(d_h)
+            p = np.exp(scores + bias - (scores + bias).max(-1, keepdims=True))
+            heads.append(p / p.sum(-1, keepdims=True) @ v[..., cols])
+        mha = np.concatenate(heads, axis=-1) @ blk.wo.data + blk.bo.data
+        x = ln(x + mha, blk.ln1_gamma, blk.ln1_beta)
+        ff = (np.maximum(x @ blk.w_up.data + blk.b_up.data, 0.0) @ blk.w_down.data
+              + blk.b_down.data)
+        x = ln(x + ff, blk.ln2_gamma, blk.ln2_beta)
+    pooled = np.tanh(x[:, 0] @ weights.pooler_w.data + weights.pooler_b.data)
+    return pooled @ weights.classifier_w.data + weights.classifier_b.data
+
+
+def adapters_for(weights, seed, b_std=0.0):
+    """Adapters on every projection, rank 1-2 per block; B is zero unless
+    `b_std` is set."""
+    layers = weights.config.num_layers
+    plan = make_rank_plan(list(range(layers)), layers // 2, 2, 1)
+    adapters = init_adapters(weights, plan, seed=seed, scaling=1.5)
+    rng = np.random.default_rng(seed)
+    for _, t in adapters.named_tensors():
+        if b_std and not t.data.any():
+            t.data[...] = rng.normal(0.0, b_std, t.data.shape)
+    return adapters
+
+
+@given(cases())
+def test_cls_row_last_block_matches_the_all_positions_reference(case):
+    weights, batch, plan = case
+    for w in (weights, apply_slice_prune(weights, plan)):
+        assert np.abs(logits(w, batch) - reference_logits(w, batch)).max() < 1e-10
+
+
+@given(cases())
+def test_engine_macs_equal_batch_times_estimate_flops(case):
+    weights, batch, plan = case
+    b, s = batch.token_ids.shape
+    for w, kept in ((weights, None),
+                    (apply_slice_prune(weights, plan), plan.kept_per_block())):
+        with ag.count_macs() as counter:
+            logits(w, batch)
+        flops = estimate_flops(w.config, kept, s).matmul_flops
+        assert counter.macs == b * flops // 2
+
+
+@given(cases())
+def test_mask_prune_equals_slice_prune(case):
+    weights, batch, plan = case
+    masked, mask = apply_mask_prune(weights, plan)
+    sliced = apply_slice_prune(weights, plan)
+    assert np.abs(logits(masked, batch, mask=mask)
+                  - logits(sliced, batch)).max() <= 1e-9
+
+
+@given(cases(), SEEDS)
+def test_zero_b_adapters_leave_logits_bit_identical(case, seed):
+    weights, batch, plan = case
+    sliced = apply_slice_prune(weights, plan)
+    adapters = adapters_for(sliced, seed)
+    assert (logits(sliced, batch).tobytes()
+            == logits(sliced, batch, adapters=adapters).tobytes())
+
+
+@given(cases(), SEEDS)
+def test_merge_is_exact(case, seed):
+    weights, batch, plan = case
+    sliced = apply_slice_prune(weights, plan)
+    adapters = adapters_for(sliced, seed, b_std=0.3)
+    merged = merge_adapters(sliced, adapters)
+    assert np.abs(logits(merged, batch)
+                  - logits(sliced, batch, adapters=adapters)).max() <= 1e-10
+
+
+@given(st.data())
+def test_attention_gradients_with_fewer_queries_than_keys(data):
+    """q, k, v and the head mask against central differences, for s_q of
+    1 to s queries as (b, s_q, width) or one query per row as (b, width)."""
+    b, s = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    s_q = data.draw(st.integers(0, s))  # 0: a (b, width) query
+    d_h = data.draw(st.integers(1, 4))
+    orig = data.draw(st.integers(1, 3))
+    kept = sorted(data.draw(st.sets(st.integers(0, orig - 1), min_size=1)))
+    lengths = data.draw(st.lists(st.integers(1, s), min_size=b, max_size=b))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    w = len(kept) * d_h
+    q_shape = (b, w) if s_q == 0 else (b, s_q, w)
+    t = {"q": rng.uniform(-1, 1, q_shape), "k": rng.uniform(-1, 1, (b, s, w)),
+         "v": rng.uniform(-1, 1, (b, s, w)), "xi": rng.uniform(0.5, 1.5, (2, orig))}
+    t = {name: Tensor(x, requires_grad=True) for name, x in t.items()}
+    bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, PAD_SCORE)
+    bias = bias[:, None, :]
+
+    def build():
+        return ag.attention(t["q"], t["k"], t["v"], bias, d_h, xi=t["xi"],
+                            heads=(1, kept))
+
+    # the same queries among all s of them give the same rows
+    q_all = rng.uniform(-1, 1, (b, s, w))
+    q_all[:, :max(s_q, 1)] = t["q"].data.reshape(b, -1, w)
+    full = ag.attention(q_all, t["k"].data, t["v"].data, bias, d_h,
+                        xi=t["xi"].data, heads=(1, kept)).data
+    out = build()
+    assert out.data.shape == q_shape
+    assert np.abs(out.data.reshape(b, -1, w) - full[:, :max(s_q, 1)]).max() < 1e-12
+
+    with ag.count_macs() as counter:
+        build()
+    assert counter.macs == 2 * s * t["q"].data.size
+
+    g = rng.uniform(-1, 1, q_shape)
+    ag.backward(weighted_sum(out, g))
+
+    def f():
+        with ag.no_grad():
+            return float(weighted_sum(build(), g).data)
+
+    # entries below 1e-3 are held to 1e-9 absolute: central differences
+    # leave about 1e-10, which a relative bound on a near-zero entry (a
+    # saturated softmax) would not forgive
+    for name, x in t.items():
+        assert x.grad.shape == x.data.shape, name
+        assert rel_err(finite_diff(f, x), x.grad, floor=1e-3) < 1e-6, name
