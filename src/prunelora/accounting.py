@@ -183,20 +183,6 @@ class FlopsReport:
         return (self.matmul_flops + self.embedding_flops + self.layernorm_flops
                 + self.softmax_flops + self.other_flops)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq_len": self.seq_len,
-            "matmul_flops": self.matmul_flops,
-            "mha_matmul_flops": self.mha_matmul_flops,
-            "ffn_matmul_flops": self.ffn_matmul_flops,
-            "head_matmul_flops": self.head_matmul_flops,
-            "embedding_flops": self.embedding_flops,
-            "layernorm_flops": self.layernorm_flops,
-            "softmax_flops": self.softmax_flops,
-            "other_flops": self.other_flops,
-            "total_flops": self.total_flops,
-        }
-
 
 def spread_keep_count(config: ModelConfig, keep_count: int) -> list[int]:
     """Kept heads per block for a bare keep count: spread evenly, the

@@ -189,6 +189,22 @@ def file_digest(path) -> str:
     return sha.hexdigest()
 
 
+def check_tensors(path, arrays: dict, shapes: dict) -> None:
+    """Raise CheckpointError unless `arrays` holds exactly the tensors
+    named in `shapes` (name -> shape tuple), each of its shape."""
+    if arrays.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - arrays.keys())
+        extra = sorted(arrays.keys() - shapes.keys())
+        raise CheckpointError(
+            f"{path}: tensor set mismatch (missing {missing}, unexpected {extra})"
+        )
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # model checkpoints
 
@@ -219,31 +235,22 @@ def load_model(path, digest: bool = False):
         raise CheckpointError(f"{path}: expected a model checkpoint")
     try:
         config = ModelConfig.from_dict(manifest["config"], "config")
-        head_index_map = parse_section(
-            {"head_index_map": manifest["head_index_map"]}, "model manifest",
-            field_types(TransformerWeights))["head_index_map"]
+        header = parse_section(
+            {key: manifest[key] for key in ("head_index_map", "merged_adapters")},
+            "model manifest",
+            field_types(TransformerWeights) | {"merged_adapters": "bool"})
     except KeyError as e:
         raise CheckpointError(f"{path}: manifest has no {e}") from e
     except ValueError as e:
         raise CheckpointError(f"{path}: bad model manifest: {e}") from e
+    head_index_map = header["head_index_map"]
     if len(head_index_map) != config.num_layers:
         raise CheckpointError(f"{path}: head_index_map has wrong number of blocks")
     for row in head_index_map:
         if row != sorted(set(row)) or not set(row) <= set(range(config.num_heads)):
             raise CheckpointError(f"{path}: bad head_index_map row {row}")
 
-    shapes = tensor_shapes(config, head_index_map)
-    if set(arrays) != set(shapes):
-        missing = sorted(set(shapes) - set(arrays))
-        extra = sorted(set(arrays) - set(shapes))
-        raise CheckpointError(
-            f"{path}: tensor set mismatch (missing {missing}, unexpected {extra})"
-        )
-    for name, shape in shapes.items():
-        if tuple(arrays[name].shape) != shape:
-            raise CheckpointError(
-                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
-            )
+    check_tensors(path, arrays, tensor_shapes(config, head_index_map))
     tensors = {name: Tensor(arr) for name, arr in arrays.items()}
     weights = TransformerWeights.from_named(config, tensors, head_index_map)
     return (weights, manifest, *sha)

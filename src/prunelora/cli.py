@@ -305,7 +305,7 @@ def cmd_train(args) -> int:
 
 def cmd_merge(args) -> int:
     base, manifest = checkpoint.load_model(args.base)
-    if manifest.get("merged_adapters"):
+    if manifest["merged_adapters"]:
         raise checkpoint.CheckpointError(
             "base checkpoint already has adapters merged in; "
             "merging twice would double the delta")
@@ -360,7 +360,9 @@ def cmd_report(args) -> int:
     is_reference = cfg.to_dict() | {"num_classes": 0} == \
         ModelConfig.reference().to_dict()
 
-    full = accounting.count_params(cfg)
+    # FLOPs per token at the longest sequence the model runs
+    seq_len = cfg.max_positions
+    full = accounting.count_params(cfg, seq_len=seq_len)
     payload["full_finetune"] = full.to_dict()
     rows.append(("full_finetune", full))
 
@@ -368,7 +370,8 @@ def cmd_report(args) -> int:
         # which blocks carry the high rank doesn't change the count
         ranks = [rc.train.rank_high] * rc.train.n_high + \
             [rc.train.rank_low] * (cfg.num_layers - rc.train.n_high)
-        adapter_rep = accounting.count_params(cfg, rank_plan=ranks)
+        adapter_rep = accounting.count_params(cfg, rank_plan=ranks,
+                                             seq_len=seq_len)
         payload["lora"] = adapter_rep.to_dict()
         rows.append(("lora", adapter_rep))
         note = (
@@ -387,7 +390,8 @@ def cmd_report(args) -> int:
         notes.append(note)
 
     if rc.train.keep_count is not None:
-        pruned = accounting.count_params(cfg, prune_plan=rc.train.keep_count)
+        pruned = accounting.count_params(cfg, prune_plan=rc.train.keep_count,
+                                         seq_len=seq_len)
         payload["pruned"] = pruned.to_dict()
         rows.append(("pruned", pruned))
         removed = cfg.num_layers * cfg.num_heads - rc.train.keep_count
@@ -410,6 +414,7 @@ def cmd_report(args) -> int:
         rep = accounting.count_params(
             weights.config,
             prune_plan=[len(k) for k in weights.head_index_map],
+            seq_len=weights.config.max_positions,
         )
         if rep.total_params != walked:
             raise RuntimeError(

@@ -13,7 +13,6 @@ deterministic function of the tokens, so Bayes accuracy is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -264,15 +263,3 @@ def save_vocab(path, vocab: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for token, idx in sorted(vocab.items(), key=lambda kv: kv[1]):
             f.write(f"{token}\t{idx}\n")
-
-
-def load_vocab(path) -> dict:
-    vocab = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'token<TAB>id'")
-        vocab[parts[0]] = int(parts[1])
-    return vocab

@@ -6,6 +6,13 @@ r -> out_dim, so the delta folded at merge time is A @ B. A starts
 Gaussian, B starts at exactly zero, so fresh adapters leave every logit
 untouched. Blocks ranked more important by the head-importance map get
 the higher rank.
+
+Each adapter tensor's name and shape is declared once, by
+`adapter_shapes` from the model and the rank plan: `init_adapters` draws
+over it, `validate_against` compares against it, and `load_adapters`
+accepts an adapter checkpoint only if it holds exactly those tensors, each
+of its declared shape (`checkpoint.check_tensors`, the same check a model
+checkpoint passes).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .autograd import Tensor
 from .checkpoint import (
     CheckpointError,
+    check_tensors,
     read_checkpoint,
     write_checkpoint,
 )
@@ -69,9 +77,31 @@ def make_rank_plan(
     )
 
 
-def _target_dims(weights: TransformerWeights, layer: int, target: str):
-    """(in_dim, out_dim) of the target projection in this block."""
-    return getattr(weights.blocks[layer], TARGETS[target]).data.shape
+def _pair_names(layer: int, target: str) -> tuple[str, str]:
+    """Checkpoint names of one adapter pair's A and B."""
+    return f"block{layer}.{target}.a", f"block{layer}.{target}.b"
+
+
+def adapter_shapes(weights: TransformerWeights, plan: RankPlan) -> dict:
+    """Adapter tensor name -> shape, in checkpoint order.
+
+    Per block, for each target in TARGETS, A (`block{l}.{t}.a`) is
+    (in_dim, rank) and B (`block{l}.{t}.b`) is (rank, out_dim), where
+    (in_dim, out_dim) is the shape of the block's (possibly pruned)
+    projection and rank is the plan's rank for the block.
+    """
+    if len(plan.block_rank) != len(weights.blocks):
+        raise ValueError(
+            f"rank plan covers {len(plan.block_rank)} blocks, model has "
+            f"{len(weights.blocks)}"
+        )
+    shapes = {}
+    for l, (blk, r) in enumerate(zip(weights.blocks, plan.block_rank)):
+        for t, part in TARGETS.items():
+            in_dim, out_dim = getattr(blk, part).data.shape
+            a, b = _pair_names(l, t)
+            shapes[a], shapes[b] = (in_dim, r), (r, out_dim)
+    return shapes
 
 
 @dataclass
@@ -93,9 +123,16 @@ class LoraAdapters:
     def named_tensors(self):
         for l, targets in enumerate(self.pairs):
             for t in TARGETS:
-                a, b = targets[t]
-                yield f"block{l}.{t}.a", a
-                yield f"block{l}.{t}.b", b
+                yield from zip(_pair_names(l, t), targets[t])
+
+    @classmethod
+    def from_named(cls, tensors: dict, plan: RankPlan, seed: int,
+                   scaling: float) -> "LoraAdapters":
+        """Inverse of named_tensors: adapters from a {name: Tensor} map."""
+        pairs = [{t: tuple(tensors[name] for name in _pair_names(l, t))
+                  for t in TARGETS}
+                 for l in range(len(plan.block_rank))]
+        return cls(pairs=pairs, plan=plan, seed=seed, scaling=scaling)
 
     def all_tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
@@ -112,26 +149,18 @@ def init_adapters(
 ) -> LoraAdapters:
     """A ~ Normal(0, 0.02^2) from a seeded generator, B exactly zero.
 
-    Shapes follow the current (possibly pruned) projection shapes, so
-    adapters created for a sliced model fit that model only.
+    Shapes follow `adapter_shapes`, so adapters created for a sliced
+    model fit that model only. The A matrices are drawn in checkpoint
+    order.
     """
-    if len(plan.block_rank) != weights.config.num_layers:
-        raise ValueError(
-            f"rank plan covers {len(plan.block_rank)} blocks, model has "
-            f"{weights.config.num_layers}"
-        )
     rng = np.random.default_rng(seed)
-    pairs = []
-    for l, r in enumerate(plan.block_rank):
-        targets = {}
-        for t in TARGETS:
-            in_dim, out_dim = _target_dims(weights, l, t)
-            a = Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=(in_dim, r)),
-                       requires_grad=True)
-            b = Tensor(np.zeros((r, out_dim)), requires_grad=True)
-            targets[t] = (a, b)
-        pairs.append(targets)
-    return LoraAdapters(pairs=pairs, plan=plan, seed=seed, scaling=scaling)
+    tensors = {
+        name: Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=shape)
+                     if name.endswith(".a") else np.zeros(shape),
+                     requires_grad=True)
+        for name, shape in adapter_shapes(weights, plan).items()
+    }
+    return LoraAdapters.from_named(tensors, plan, seed, scaling)
 
 
 def merge(w: Tensor, a: Tensor, b: Tensor, scaling: float = 1.0) -> Tensor:
@@ -159,23 +188,16 @@ def merge_adapters(weights: TransformerWeights, adapters: LoraAdapters) -> Trans
 
 
 def validate_against(adapters: LoraAdapters, weights: TransformerWeights) -> None:
-    """Check every adapter pair composes with its target projection."""
-    if len(adapters.pairs) != weights.config.num_layers:
-        raise ValueError(
-            f"adapters cover {len(adapters.pairs)} blocks, model has "
-            f"{weights.config.num_layers}"
-        )
-    for l in range(weights.config.num_layers):
-        for t in TARGETS:
-            a, b = adapters.for_block(l)[t]
-            in_dim, out_dim = _target_dims(weights, l, t)
-            if a.data.shape[0] != in_dim or b.data.shape[1] != out_dim \
-                    or a.data.shape[1] != b.data.shape[0]:
-                raise ValueError(
-                    f"block {l} target {t}: adapter shapes "
-                    f"{a.data.shape}x{b.data.shape} do not fit projection "
-                    f"({in_dim}, {out_dim})"
-                )
+    """Check the adapters hold exactly the tensors `adapter_shapes`
+    declares for this model and their rank plan."""
+    expected = adapter_shapes(weights, adapters.plan)
+    shapes = {name: t.data.shape for name, t in adapters.named_tensors()}
+    for name in sorted(expected.keys() | shapes.keys()):
+        if shapes.get(name) != expected.get(name):
+            raise ValueError(
+                f"adapters do not fit the model: {name} has shape "
+                f"{shapes.get(name)}, expected {expected.get(name)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +214,10 @@ def save_adapters(path, adapters: LoraAdapters) -> None:
     write_checkpoint(path, header, ((n, t.data) for n, t in adapters.named_tensors()))
 
 
-def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapters:
-    """Load adapters; when `weights` is given, validate shapes against it."""
+def load_adapters(path, weights: TransformerWeights) -> LoraAdapters:
+    """Load adapters made for `weights`: the file must hold exactly the
+    tensors `adapter_shapes` declares for that model and the file's rank
+    plan, else CheckpointError."""
     manifest, arrays = read_checkpoint(path)
     if manifest.get("kind") != "adapters":
         raise CheckpointError(f"{path}: expected an adapter checkpoint")
@@ -204,29 +228,9 @@ def load_adapters(path, weights: TransformerWeights | None = None) -> LoraAdapte
         scaling = float(header["scaling"])
         if not math.isfinite(scaling):
             raise ValueError(f"scaling {scaling} is not finite")
+        shapes = adapter_shapes(weights, plan)
     except (KeyError, ValueError, OverflowError) as e:  # float(10 ** 400)
         raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
-    pairs = []
-    for l, r in enumerate(plan.block_rank):
-        targets = {}
-        for t in TARGETS:
-            try:
-                a = arrays[f"block{l}.{t}.a"]
-                b = arrays[f"block{l}.{t}.b"]
-            except KeyError as e:
-                raise CheckpointError(f"{path}: missing adapter tensor {e}")
-            if a.shape[1] != r or b.shape[0] != r:
-                raise CheckpointError(
-                    f"{path}: block {l} target {t} rank {a.shape[1]} != plan {r}"
-                )
-            targets[t] = (Tensor(a), Tensor(b))
-        pairs.append(targets)
-    adapters = LoraAdapters(
-        pairs=pairs,
-        plan=plan,
-        seed=header["seed"],
-        scaling=scaling,
-    )
-    if weights is not None:
-        validate_against(adapters, weights)
-    return adapters
+    check_tensors(path, arrays, shapes)
+    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
+    return LoraAdapters.from_named(tensors, plan, header["seed"], scaling)

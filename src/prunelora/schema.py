@@ -18,18 +18,19 @@ class ConfigError(ValueError):
 
 
 # annotation -> accepted JSON types; other annotations pass unchecked
-_SCALARS = {"int": int, "float": (int, float), "str": str}
+_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _matches(value, kind: str) -> bool:
     """Whether `value` fits a scalar annotation or a list (of lists) of
-    one, such as `list[list[int]]`; a bool is never a number."""
+    one, such as `list[list[int]]`; a bool is never a number, nor a
+    number a bool."""
     item = kind.removeprefix("list[").removesuffix("]")
     if item != kind:
         return isinstance(value, list) and all(_matches(v, item) for v in value)
     want = _SCALARS.get(kind)
-    return want is None or (not isinstance(value, bool)
-                            and isinstance(value, want))
+    return want is None or (isinstance(value, want)
+                            and isinstance(value, bool) == (kind == "bool"))
 
 
 def parse_section(raw, section: str, types: dict) -> dict:

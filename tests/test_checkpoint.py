@@ -160,6 +160,18 @@ BAD_MODEL_MANIFESTS = {
         lambda m: m["head_index_map"].__setitem__(0, 0), "bad model manifest"),
     "head_index_map an object": (lambda m: m.update(head_index_map={}),
                                  "bad model manifest"),
+    # a merged checkpoint must never read as unmerged (merge would add
+    # the delta twice): the flag is a JSON bool, and it must be there
+    "no merged_adapters": (lambda m: m.pop("merged_adapters"),
+                           "manifest has no 'merged_adapters'"),
+    "merged_adapters 0": (lambda m: m.update(merged_adapters=0),
+                          "bad model manifest"),
+    "merged_adapters 1": (lambda m: m.update(merged_adapters=1),
+                          "bad model manifest"),
+    "merged_adapters 'no'": (lambda m: m.update(merged_adapters="no"),
+                             "bad model manifest"),
+    "merged_adapters null": (lambda m: m.update(merged_adapters=None),
+                             "bad model manifest"),
 }
 
 

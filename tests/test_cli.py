@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prunelora import checkpoint, count_params, lora, training
+from prunelora import checkpoint, count_params, estimate_flops, lora, training
 from prunelora.cli import load_datasets, load_run_config, main
 from prunelora.importance import (
     csv_to_matrix,
@@ -324,6 +325,8 @@ ADAPTER_MANIFEST_DAMAGE = {
     "scaling false": lambda m: m.update(scaling=False),
     "scaling inf": lambda m: m.update(scaling=1e400),
     "scaling nan": lambda m: m.update(scaling=float("nan")),
+    "rank_plan for 3 of 4 blocks":
+        lambda m: m["rank_plan"]["block_rank"].pop(),
 }
 
 
@@ -341,12 +344,72 @@ def test_damaged_adapter_manifest_exits_2(fresh_lora_run, tmp_path, capsys,
     src = fresh_lora_run / "adapters.ckpt"
     bad = tmp_path / "adapters.ckpt"
     bad.write_bytes(repack_checkpoint(src, ADAPTER_MANIFEST_DAMAGE[damage]))
+    base, _ = checkpoint.load_model(fresh_lora_run / "model.ckpt")
     with pytest.raises(checkpoint.CheckpointError):
-        load_adapters(bad)
+        load_adapters(bad, base)
     assert run("merge", "--base", fresh_lora_run / "model.ckpt",
                "--adapters", bad, "--out", tmp_path / "merged.ckpt") == 2
     assert "bad adapter manifest" in capsys.readouterr().err
     assert not (tmp_path / "merged.ckpt").exists()
+
+
+def widen_q_a(arrays):
+    rank = arrays["block0.q.a"].shape[1]
+    arrays["block0.q.a"] = np.zeros((5, rank))
+
+
+# edits of an adapter file's tensors -> the message they fail with
+ADAPTER_TENSOR_DAMAGE = {
+    "extra tensor": (lambda a: a.update({"block0.q.c": np.zeros((2, 2))}),
+                     "unexpected ['block0.q.c']"),
+    "missing tensor": (lambda a: a.pop("block3.o.b"), "missing ['block3.o.b']"),
+    "A of the wrong width": (widen_q_a, "block0.q.a has shape (5, "),
+    "B of the wrong rank": (
+        lambda a: a.update({"block1.v.b": np.zeros((1, 64))}),
+        "block1.v.b has shape (1, 64)"),
+}
+
+
+@pytest.mark.parametrize("damage", list(ADAPTER_TENSOR_DAMAGE))
+def test_adapter_tensors_off_the_layout_exit_2(fresh_lora_run, tmp_path, capsys,
+                                               damage):
+    """An adapter file holds exactly the tensors `adapter_shapes` declares:
+    nothing is dropped, and nothing loads at a shape the model can't use."""
+    edit, message = ADAPTER_TENSOR_DAMAGE[damage]
+    manifest, arrays = checkpoint.read_checkpoint(
+        fresh_lora_run / "adapters.ckpt")
+    del manifest["tensors"]
+    edit(arrays)
+    bad = tmp_path / "adapters.ckpt"
+    checkpoint.write_checkpoint(bad, manifest, arrays.items())
+    base, _ = checkpoint.load_model(fresh_lora_run / "model.ckpt")
+    with pytest.raises(checkpoint.CheckpointError, match=re.escape(message)):
+        load_adapters(bad, base)
+    assert run("merge", "--base", fresh_lora_run / "model.ckpt",
+               "--adapters", bad, "--out", tmp_path / "merged.ckpt") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "merged.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["dropped", 0, "no", None], ids=repr)
+def test_merged_checkpoint_with_a_damaged_flag_is_not_merged_again(
+        fresh_lora_run, tmp_path, flag):
+    merged = tmp_path / "merged.ckpt"
+    assert run("merge", "--base", fresh_lora_run / "model.ckpt",
+               "--adapters", fresh_lora_run / "adapters.ckpt",
+               "--out", merged) == 0
+
+    def edit(m):
+        if flag == "dropped":
+            del m["merged_adapters"]
+        else:
+            m["merged_adapters"] = flag
+
+    merged.write_bytes(repack_checkpoint(merged, edit))
+    assert run("merge", "--base", merged,
+               "--adapters", fresh_lora_run / "adapters.ckpt",
+               "--out", tmp_path / "again.ckpt") == 2
+    assert not (tmp_path / "again.ckpt").exists()
 
 
 @pytest.mark.parametrize("meta", [[1, 2], "x", {"model_digest": 5},
@@ -443,6 +506,25 @@ def test_report_toy_breakdown_sums(config_path, tmp_path):
     full = payload["full_finetune"]
     assert sum(full["components"].values()) == full["total_params"]
     assert (out / "params_table.txt").exists()
+
+
+def test_report_flops_per_token_at_max_positions(config_path, tmp_path):
+    """Every row gives the forward FLOPs per token of a sequence of the
+    model's max_positions (16 here), the longest one it runs."""
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    out = tmp_path / "rep"
+    assert run("report", "--config", config_path, "--out", out,
+               "--checkpoint", imp / "model.ckpt") == 0
+    payload = json.loads((out / "params_report.json").read_text())
+    cfg = load_run_config(config_path).model
+    assert cfg.max_positions == 16
+    full = estimate_flops(cfg, None, 16).total_flops // 16
+    assert payload["full_finetune"]["forward_flops_per_token"] == full == 337_704
+    assert payload["lora"]["forward_flops_per_token"] == full
+    assert payload["model.ckpt"]["forward_flops_per_token"] == full
+    assert payload["pruned"]["forward_flops_per_token"] == \
+        estimate_flops(cfg, 12, 16).total_flops // 16
 
 
 def test_report_reference_dry_run_values(tmp_path, capsys):

@@ -12,7 +12,6 @@ from prunelora.data import (
     batches,
     generate,
     ingest_tsv,
-    load_vocab,
     save_vocab,
 )
 
@@ -146,8 +145,12 @@ def test_retokenizing_with_saved_vocab_is_identical(tmp_path):
     data, vocab = ingest_tsv(path)
     vpath = tmp_path / "vocab.tsv"
     save_vocab(vpath, vocab)
-    reloaded = load_vocab(vpath)
-    assert reloaded == vocab
+    # one "token<TAB>id" line per token, in id order, tokens lowercased
+    text = vpath.read_text(encoding="utf-8")
+    assert text == ("<pad>\t0\n<unk>\t1\n<cls>\t2\nthe\t3\nquick\t4\n"
+                    "brown\t5\nfox\t6\nred\t7\n")
+    reloaded = {token: int(idx) for token, idx in
+                (line.split("\t") for line in text.splitlines())}
     again, _ = ingest_tsv(path, vocab=reloaded)
     assert np.array_equal(data.token_ids, again.token_ids)
 

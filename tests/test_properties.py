@@ -1,16 +1,20 @@
-"""The paper's invariants as properties over drawn geometries, batches and
-prune plans, and finite differences through attention with fewer queries
-than keys.
+"""The paper's invariants as properties over drawn geometries, batches,
+prune plans and rank plans, and finite differences through attention with
+fewer queries than keys and through a projection with or without its
+adapter.
 
 Configs have 1-3 blocks of 1-4 heads of width 1-8; batches have 1-4 rows
 of 1-6 positions, right-padded, some with a row that holds only CLS; prune
-plans may empty any block, the last one included. Examples are
-derandomized, so every run draws the same ones. The example budget comes
-from the hypothesis profile (tests/conftest.py): a few per property in
-tier-1, more under `pytest --hypothesis-profile=ci`.
+plans may empty any block, the last one included; rank plans span
+`make_rank_plan`'s range. Examples are derandomized, so every run draws
+the same ones. The example budget comes from the hypothesis profile
+(tests/conftest.py): a few per property in tier-1, more under
+`pytest --hypothesis-profile=ci`.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
@@ -23,15 +27,19 @@ from prunelora import (
     TokenBatch,
     apply_mask_prune,
     apply_slice_prune,
+    count_params,
     estimate_flops,
     forward,
+    freeze_policy,
     init_adapters,
     init_weights,
     make_rank_plan,
     merge_adapters,
 )
 from prunelora.autograd import Tensor
+from prunelora.lora import adapter_shapes, load_adapters, save_adapters
 from prunelora.model import PAD_SCORE
+from prunelora.training import AdamW
 
 from conftest import finite_diff, rel_err, weighted_sum
 
@@ -71,6 +79,26 @@ def cases(draw):
     return weights, batch, PrunePlan(keep, int(keep.sum()))
 
 
+@st.composite
+def rank_plans(draw, num_layers):
+    """`make_rank_plan` over its whole range: any importance, 0 to every
+    block at the high rank, rank_high >= rank_low >= 1."""
+    rank_low = draw(st.integers(1, 3))
+    rank_high = draw(st.integers(rank_low, 4))
+    importance = draw(st.lists(st.floats(0, 1), min_size=num_layers,
+                               max_size=num_layers))
+    return make_rank_plan(importance, draw(st.integers(0, num_layers)),
+                          rank_high, rank_low)
+
+
+@st.composite
+def sliced_cases(draw):
+    """(sliced weights, batch, prune plan, rank plan) from `cases`."""
+    weights, batch, plan = draw(cases())
+    return (apply_slice_prune(weights, plan), batch, plan,
+            draw(rank_plans(weights.config.num_layers)))
+
+
 def logits(weights, batch, **kw):
     with ag.no_grad():
         return forward(weights, batch, **kw).data
@@ -108,11 +136,9 @@ def reference_logits(weights, batch):
     return pooled @ weights.classifier_w.data + weights.classifier_b.data
 
 
-def adapters_for(weights, seed, b_std=0.0):
-    """Adapters on every projection, rank 1-2 per block; B is zero unless
+def adapters_for(weights, plan, seed, b_std=0.0):
+    """Adapters on every projection at the plan's ranks; B is zero unless
     `b_std` is set."""
-    layers = weights.config.num_layers
-    plan = make_rank_plan(list(range(layers)), layers // 2, 2, 1)
     adapters = init_adapters(weights, plan, seed=seed, scaling=1.5)
     rng = np.random.default_rng(seed)
     for _, t in adapters.named_tensors():
@@ -149,23 +175,116 @@ def test_mask_prune_equals_slice_prune(case):
                   - logits(sliced, batch)).max() <= 1e-9
 
 
-@given(cases(), SEEDS)
+@given(sliced_cases(), SEEDS)
 def test_zero_b_adapters_leave_logits_bit_identical(case, seed):
-    weights, batch, plan = case
-    sliced = apply_slice_prune(weights, plan)
-    adapters = adapters_for(sliced, seed)
+    sliced, batch, _, ranks = case
+    adapters = adapters_for(sliced, ranks, seed)
     assert (logits(sliced, batch).tobytes()
             == logits(sliced, batch, adapters=adapters).tobytes())
 
 
-@given(cases(), SEEDS)
+@given(sliced_cases(), SEEDS)
 def test_merge_is_exact(case, seed):
-    weights, batch, plan = case
-    sliced = apply_slice_prune(weights, plan)
-    adapters = adapters_for(sliced, seed, b_std=0.3)
+    sliced, batch, _, ranks = case
+    adapters = adapters_for(sliced, ranks, seed, b_std=0.3)
     merged = merge_adapters(sliced, adapters)
     assert np.abs(logits(merged, batch)
                   - logits(sliced, batch, adapters=adapters)).max() <= 1e-10
+
+
+@given(sliced_cases())
+def test_count_params_equals_the_tensor_walk_with_adapters(case):
+    sliced, _, plan, ranks = case
+    adapters = init_adapters(sliced, ranks)
+    report = count_params(sliced.config, plan, ranks)
+    assert report.components["adapters"] == adapters.num_params()
+    assert report.total_params == sliced.num_params() + adapters.num_params()
+    trainable = freeze_policy(sliced, adapters, "prune_lora")
+    assert report.trainable_params == sum(t.data.size for t in trainable)
+
+
+@given(sliced_cases(), SEEDS)
+def test_adapter_shapes_declare_init_and_the_checkpoint(case, seed):
+    """Q/K/V adapters map hidden -> rank -> kept width, the output's kept
+    width -> rank -> hidden; init and a save/load round trip follow."""
+    sliced, _, plan, ranks = case
+    cfg = sliced.config
+    shapes = adapter_shapes(sliced, ranks)
+    assert len(shapes) == 8 * cfg.num_layers
+    for l, (kept, r) in enumerate(zip(plan.kept_per_block(), ranks.block_rank)):
+        w = kept * cfg.head_dim
+        for t in "qkv":
+            assert shapes[f"block{l}.{t}.a"] == (cfg.hidden, r)
+            assert shapes[f"block{l}.{t}.b"] == (r, w)
+        assert shapes[f"block{l}.o.a"] == (w, r)
+        assert shapes[f"block{l}.o.b"] == (r, cfg.hidden)
+
+    adapters = adapters_for(sliced, ranks, seed, b_std=0.3)
+    assert [(name, t.data.shape) for name, t in adapters.named_tensors()] \
+        == list(shapes.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "adapters.ckpt"
+        save_adapters(path, adapters)
+        loaded = load_adapters(path, sliced)
+    assert (loaded.plan, loaded.seed, loaded.scaling) == (ranks, seed, 1.5)
+    assert [(name, t.data.tobytes()) for name, t in loaded.named_tensors()] \
+        == [(name, t.data.tobytes()) for name, t in adapters.named_tensors()]
+
+
+@given(sliced_cases(), SEEDS, st.sampled_from(["full_finetune", "prune_lora"]))
+def test_a_training_step_rerun_is_bit_identical(case, seed, regime):
+    """Forward, backward and an AdamW step, run twice from the same
+    state, leave the same bytes in every tensor."""
+    sliced, batch, _, ranks = case
+
+    def step():
+        weights = sliced.clone()
+        adapters = (None if regime == "full_finetune"
+                    else adapters_for(weights, ranks, seed, b_std=0.3))
+        opt = AdamW(freeze_policy(weights, adapters, regime), lr=0.01,
+                    weight_decay=0.1)
+        loss = ag.cross_entropy(forward(weights, batch, adapters=adapters),
+                                batch.labels)
+        ag.backward(loss)
+        opt.step()
+        tensors = weights.all_tensors() + (adapters.all_tensors() if adapters
+                                           else [])
+        return [loss.data.tobytes()] + [t.data.tobytes() for t in tensors]
+
+    assert step() == step()
+
+
+@given(st.data())
+def test_linear_gradients_with_the_adapter_on_and_off(data):
+    """x, W, b and the adapter's A and B against central differences, for
+    2-D and 3-D inputs, the adapter on or off, and any mix of frozen and
+    trainable tensors: a frozen one gets no gradient."""
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    k, n, r = (data.draw(st.integers(1, 4)) for _ in range(3))
+    names = ("x", "W", "b") + (("A", "B") if data.draw(st.booleans()) else ())
+    trainable = data.draw(st.sets(st.sampled_from(names), min_size=1))
+    scaling = data.draw(st.sampled_from([1.0, 0.5, 2.5]))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    shapes = {"x": lead + (k,), "W": (k, n), "b": (n,), "A": (k, r), "B": (r, n)}
+    t = {name: Tensor(rng.uniform(-1, 1, shapes[name]),
+                      requires_grad=name in trainable) for name in names}
+
+    def build():
+        adapter = (t["A"], t["B"], scaling) if "A" in t else None
+        return ag.linear(t["x"], t["W"], t["b"], adapter)
+
+    g = rng.uniform(-1, 1, lead + (n,))
+    ag.backward(weighted_sum(build(), g))
+
+    def f():
+        with ag.no_grad():
+            return float(weighted_sum(build(), g).data)
+
+    for name, x in t.items():
+        if name in trainable:
+            assert rel_err(finite_diff(f, x), x.grad, floor=1e-3) < 1e-6, name
+        else:
+            assert x.grad is None, name
 
 
 @given(st.data())
