@@ -40,10 +40,11 @@ A transformer block is built from two fused ops, one graph node each:
 
 Their backward passes are written out by hand (see each op). Both accept
 width 0, so a block that lost every head needs no op of its own. The
-other ops are the ones the model runs between them: `add`, `relu`,
-`tanh`, `layernorm`, `embedding`, `first_token` (the CLS-row select at the
-last block's input) and `cross_entropy`. `count_macs` counts the products
-of `linear` and `attention`.
+other ops are the ones the model runs between them: `relu`, `tanh`,
+`layernorm` (over a sum of terms: each residual sum is part of the
+LayerNorm node that reads it), `embedding`, `first_token` (the CLS-row
+select at the last block's input) and `cross_entropy`. `count_macs` counts
+the products of `linear` and `attention`.
 """
 
 from __future__ import annotations
@@ -212,19 +213,6 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 # elementwise ops, LayerNorm and the loss
 
 
-def add(a, b) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(g, b.data.shape))
-
-    return _from_op(a.data + b.data, (a, b), bwd)
-
-
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0
@@ -249,19 +237,24 @@ def tanh(x: Tensor) -> Tensor:
     return _from_op(out, (x,), bwd)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Standardize the last axis, then scale/shift by gamma/beta."""
+def layernorm(terms, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+    """Standardize the last axis of the sum of `terms` (a tuple of tensors,
+    added left to right with numpy broadcasting), then scale/shift by
+    gamma/beta. Backward computes the sum's gradient once; each trainable
+    term gets it summed over the axes the term was broadcast along."""
     if eps <= 0:
         raise ValueError("layernorm: eps must be positive")
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    d = x.data.shape[-1]
+    terms = tuple(_as_tensor(t) for t in terms)
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+    x = sum((t.data for t in terms[1:]), terms[0].data)
+    d = x.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(
-            f"layernorm: feature size mismatch: x {x.data.shape}, "
+            f"layernorm: feature size mismatch: x {x.shape}, "
             f"gamma {gamma.data.shape}, beta {beta.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -272,19 +265,18 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Ten
                                   fresh=True)
         if beta.requires_grad:
             beta.accumulate_grad(_reduce_to(g, beta.data.shape))
-        if x.requires_grad:
+        if any(t.requires_grad for t in terms):
             dxhat = g * gamma.data
-            x.accumulate_grad(
-                inv
-                * (
-                    dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                ),
-                fresh=True,
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
+            for t in terms:
+                if t.requires_grad:
+                    t.accumulate_grad(_reduce_to(dx, t.data.shape))
 
-    return _from_op(xhat * gamma.data + beta.data, (x, gamma, beta), bwd)
+    return _from_op(xhat * gamma.data + beta.data, (*terms, gamma, beta), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

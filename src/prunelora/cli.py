@@ -25,14 +25,15 @@ seed and output directory. The config is an object with these keys:
               eval_every, seed (default: the run seed)
 
 Any other key, a key in the wrong section, a section that is not an
-object or a value of the wrong type is a ConfigError, and the command
-exits with status 2. So is a label the classifier cannot score (a
-task.num_classes above model.num_classes, a TSV label of at least
-model.num_classes), and, for prune, an importance.csv that is not
-finite, lies outside [0, 1] or does not hash to the digest recorded in
-importance_meta.json, or an importance_meta.json with an unknown key or a
-value of the wrong type. All outputs are deterministic functions of the
-config (timing sidecars excepted, and marked as such by filename).
+object or a value of the wrong type (a float that is not finite, too) is
+a ConfigError, and the command exits with status 2. So is a label the
+classifier cannot score (a task.num_classes above model.num_classes, a
+TSV label of at least model.num_classes), and, for prune, an
+importance.csv that is not finite, lies outside [0, 1] or does not hash
+to the digest recorded in importance_meta.json, or an
+importance_meta.json with an unknown key or a value of the wrong type.
+All outputs are deterministic functions of the config (timing sidecars
+excepted, and marked as such by filename).
 """
 
 from __future__ import annotations
@@ -303,13 +304,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_merge(args) -> int:
-    base, manifest = checkpoint.load_model(args.base)
+def load_model_and_adapters(model_path, adapters_path=None):
+    """(weights, adapters loaded for them or None); a model with adapters
+    merged in takes none, since their delta would count twice."""
+    weights, manifest = checkpoint.load_model(model_path)
+    if adapters_path is None:
+        return weights, None
     if manifest["merged_adapters"]:
         raise checkpoint.CheckpointError(
-            "base checkpoint already has adapters merged in; "
-            "merging twice would double the delta")
-    adapters = lora.load_adapters(args.adapters, weights=base)
+            f"{model_path} already has adapters merged in; "
+            "applying adapters to it would double the delta")
+    return weights, lora.load_adapters(adapters_path, weights=weights)
+
+
+def cmd_merge(args) -> int:
+    base, adapters = load_model_and_adapters(args.base, args.adapters)
     merged = lora.merge_adapters(base, adapters)
     out_path = Path(args.out)
     if out_path.suffix != ".ckpt":
@@ -323,7 +332,7 @@ def cmd_merge(args) -> int:
 def cmd_eval(args) -> int:
     rc = load_run_config(args.config, args.seed, args.out)
     out = _outdir(args, rc)
-    weights, _ = checkpoint.load_model(args.checkpoint)
+    weights, adapters = load_model_and_adapters(args.checkpoint, args.adapters)
     # labels are checked against the config's classes (load_run_config,
     # load_datasets) and scored by the checkpoint's classifier
     if weights.config.num_classes < rc.model.num_classes:
@@ -331,9 +340,6 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: classifier scores {weights.config.num_classes} "
             f"classes, fewer than model.num_classes {rc.model.num_classes}"
         )
-    adapters = None
-    if args.adapters:
-        adapters = lora.load_adapters(args.adapters, weights=weights)
     _, eval_data = load_datasets(rc)
 
     logits = training.predict(weights, eval_data, adapters, rc.train.batch_size)

@@ -35,9 +35,10 @@ class ImportanceMap:
     def __post_init__(self):
         if self.token_count <= 0:
             raise ValueError("token_count must be positive")
-        if np.any(self.raw < 0):
-            raise ValueError("raw importance must be non-negative")
-        if np.any(self.final < 0) or np.any(self.final > 1):
+        # written so that NaN fails each test
+        if not np.all(np.isfinite(self.raw) & (self.raw >= 0)):
+            raise ValueError("raw importance must be finite and non-negative")
+        if not np.all((self.final >= 0) & (self.final <= 1)):
             raise ValueError("final importance must lie in [0, 1]")
 
     @property
@@ -88,8 +89,8 @@ def estimate_raw_importance(
 
 def l2_normalize(raw: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Divide by the L2 norm of the flattened matrix (plus epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return raw / (np.sqrt((raw * raw).sum()) + epsilon)
 
 

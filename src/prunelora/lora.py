@@ -17,7 +17,6 @@ checkpoint passes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,10 +225,8 @@ def load_adapters(path, weights: TransformerWeights) -> LoraAdapters:
         header = parse_section({key: manifest[key] for key in ("seed", "scaling")},
                                "adapter manifest", field_types(LoraAdapters))
         scaling = float(header["scaling"])
-        if not math.isfinite(scaling):
-            raise ValueError(f"scaling {scaling} is not finite")
         shapes = adapter_shapes(weights, plan)
-    except (KeyError, ValueError, OverflowError) as e:  # float(10 ** 400)
+    except (KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
     check_tensors(path, arrays, shapes)
     tensors = {name: Tensor(arr) for name, arr in arrays.items()}

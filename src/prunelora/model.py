@@ -3,10 +3,11 @@
 Post-norm residual blocks (BERT ordering): MHA -> add&norm -> FFN ->
 add&norm, first-token pooling through a tanh dense layer, then a linear
 classifier head. Every projection is one `autograd.linear` node (its LoRA
-adapter, when one is attached, rides inside it) and a block's attention,
-all kept heads together, is one `autograd.attention` node. Every attention
-head output is multiplied by its mask scalar before concatenation, so head
-saliency is one backward pass away.
+adapter, when one is attached, rides inside it), a block's attention, all
+kept heads together, is one `autograd.attention` node, and each add&norm,
+the embedding sum's included, is one `autograd.layernorm` node over the
+terms it adds. Every attention head output is multiplied by its mask
+scalar before concatenation, so head saliency is one backward pass away.
 
 The pooler reads only the first (CLS) position of the last block's
 output, so the last block computes only that row: its K and V project
@@ -325,14 +326,10 @@ def forward(
     # (b, 1, s): broadcast over query positions
     attn_bias = ((1 - att) * PAD_SCORE).astype(np.float64)[:, None, :]
 
-    x = ag.add(
-        ag.add(
-            ag.embedding(weights.tok_emb, ids),
-            ag.embedding(weights.pos_emb, np.arange(s)),
-        ),
-        ag.embedding(weights.type_emb, np.zeros(1, dtype=np.int64)),
-    )
-    x = ag.layernorm(x, weights.emb_ln_gamma, weights.emb_ln_beta, cfg.layernorm_eps)
+    x = ag.layernorm((ag.embedding(weights.tok_emb, ids),
+                      ag.embedding(weights.pos_emb, np.arange(s)),
+                      ag.embedding(weights.type_emb, np.zeros(1, dtype=np.int64))),
+                     weights.emb_ln_gamma, weights.emb_ln_beta, cfg.layernorm_eps)
 
     last = len(weights.blocks) - 1
     for l, blk in enumerate(weights.blocks):
@@ -349,11 +346,11 @@ def forward(
                              xi=None if mask is None else mask.xi,
                              heads=(l, weights.head_index_map[l]))
         mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
-        x = ag.layernorm(ag.add(rows, mha), blk.ln1_gamma, blk.ln1_beta,
+        x = ag.layernorm((rows, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
         up = ag.relu(ag.linear(x, blk.w_up, blk.b_up))
         ff = ag.linear(up, blk.w_down, blk.b_down)
-        x = ag.layernorm(ag.add(x, ff), blk.ln2_gamma, blk.ln2_beta,
+        x = ag.layernorm((x, ff), blk.ln2_gamma, blk.ln2_beta,
                          cfg.layernorm_eps)
 
     pooled = ag.tanh(ag.linear(x, weights.pooler_w, weights.pooler_b))

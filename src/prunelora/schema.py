@@ -3,13 +3,14 @@
 A config section is a JSON object whose keys are the fields of the one
 dataclass that owns it. `parse_section` rejects anything else (an unknown
 or misplaced key, a section that is not an object, a scalar or list item
-of the wrong type) with a ConfigError that names the section and key, so a
-typo never falls back to a default.
+of the wrong type, a float that is not finite) with a ConfigError that
+names the section and key, so a typo never falls back to a default.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, asdict, fields
 
 
@@ -24,13 +25,15 @@ _SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
 def _matches(value, kind: str) -> bool:
     """Whether `value` fits a scalar annotation or a list (of lists) of
     one, such as `list[list[int]]`; a bool is never a number, nor a
-    number a bool."""
+    number a bool, and a float is a finite float64 (`json` also reads NaN,
+    Infinity and integers beyond that range)."""
     item = kind.removeprefix("list[").removesuffix("]")
     if item != kind:
         return isinstance(value, list) and all(_matches(v, item) for v in value)
     want = _SCALARS.get(kind)
     return want is None or (isinstance(value, want)
-                            and isinstance(value, bool) == (kind == "bool"))
+                            and isinstance(value, bool) == (kind == "bool")
+                            and (kind != "float" or abs(value) <= sys.float_info.max))
 
 
 def parse_section(raw, section: str, types: dict) -> dict:

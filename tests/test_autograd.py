@@ -99,26 +99,38 @@ def assert_grads_unaliased(leaves, others):
                 assert not np.shares_memory(leaf.grad, t.grad)
 
 
-def test_add_same_tensor_twice():
-    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
-    out = ag.add(x, x)
+def unit_scale(d):
+    """Frozen LayerNorm gamma and beta of width d: ones and zeros."""
+    return Tensor(np.ones(d)), Tensor(np.zeros(d))
+
+
+def test_layernorm_same_tensor_as_two_terms():
+    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3) ** 2, requires_grad=True)
+    # the sum x + x as a single term
+    doubled = Tensor(x.data + x.data, requires_grad=True)
+    out = ag.layernorm((x, x), *unit_scale(3))
+    single = ag.layernorm((doubled,), *unit_scale(3))
+    assert np.array_equal(out.data, single.data)
     w = np.linspace(-1, 1, 6).reshape(2, 3)
     ag.backward(weighted_sum(out, w))
-    assert np.array_equal(x.grad, 2 * w)
-    assert_grads_unaliased([x], [out])
+    ag.backward(weighted_sum(single, w))
+    # the sum's gradient, once per term
+    assert np.array_equal(x.grad, 2 * doubled.grad)
+    assert_grads_unaliased([x, doubled], [out, single])
 
 
-def test_add_two_leaves_get_separate_grads():
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = Tensor(np.ones((2, 3)), requires_grad=True)
-    out = ag.add(x, y)
-    ag.backward(weighted_sum(out, 1.0))
-    assert np.array_equal(x.grad, np.ones((2, 3)))
-    assert np.array_equal(y.grad, np.ones((2, 3)))
+def test_layernorm_two_terms_get_separate_grads():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    y = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    out = ag.layernorm((x, y), *unit_scale(3))
+    ag.backward(weighted_sum(out, rng.uniform(-1, 1, (2, 3))))
+    assert np.array_equal(x.grad, y.grad)
     assert_grads_unaliased([x, y], [out])
+    upstream, y_grad = out.grad.copy(), y.grad.copy()
     x.grad += 1.0  # in-place writes to one grad must not reach the other
-    assert np.array_equal(y.grad, np.ones((2, 3)))
-    assert np.array_equal(out.grad, np.ones((2, 3)))
+    assert np.array_equal(y.grad, y_grad)
+    assert np.array_equal(out.grad, upstream)
 
 
 def test_relu_output_and_gradient():
@@ -133,21 +145,27 @@ def test_relu_output_and_gradient():
 
 def test_tensor_feeding_two_branches(matmul_path):
     rng = np.random.default_rng(5)
-    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (3, 3, 4)), requires_grad=True)
     wmat = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
+    w = rng.uniform(-1, 1, (3, 3, 4))
     h = matmul_path(x, wmat)
     left = ag.first_token(h)  # a gradient for one slice of h
-    right = ag.add(h, x)
-    loss = ag.add(weighted_sum(left, 1.0), weighted_sum(right, 1.0))
-    ag.backward(loss)
-    # dL/dh = 1, plus 1 more at position 0: dL/dx = dL/dh @ W^T + 1,
-    # dL/dW = x2^T @ dL/dh
-    gh = np.ones((2, 3, 4))
-    gh[:, 0] += 1.0
-    assert np.allclose(x.grad, gh @ wmat.data.T + 1, rtol=1e-14)
-    assert np.allclose(wmat.grad, x.data.reshape(6, 4).T @ gh.reshape(6, 4),
+    # x and h feed two nodes each; left, (b, d), broadcasts over the
+    # leading axis (b == s here)
+    out = ag.layernorm((h, x, left), *unit_scale(4))
+    ag.backward(weighted_sum(out, w))
+    # D: the gradient wrt the LayerNorm's sum, from a leaf holding it
+    total = Tensor(h.data + x.data + left.data, requires_grad=True)
+    ag.backward(weighted_sum(ag.layernorm((total,), *unit_scale(4)), w))
+    d = total.grad
+    # dL/dh = D, plus left's share at position 0: D summed over the axis
+    # left was broadcast along. dL/dx = dL/dh @ W^T + D, dL/dW = x2^T @ dL/dh
+    gh = d.copy()
+    gh[:, 0] += d.sum(axis=0)
+    assert np.allclose(x.grad, gh @ wmat.data.T + d, rtol=1e-14)
+    assert np.allclose(wmat.grad, x.data.reshape(9, 4).T @ gh.reshape(9, 4),
                        rtol=1e-14)
-    assert_grads_unaliased([x, wmat], [h, left, right, loss])
+    assert_grads_unaliased([x, wmat], [h, left, out])
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +221,19 @@ def test_softmax_gradients_match_finite_differences():
 
 def test_layernorm_constant_row_is_zero():
     x = Tensor([[2.5, 2.5, 2.5, 2.5]])
-    out = ag.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=1e-12)
+    out = ag.layernorm((x,), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=1e-12)
     assert np.allclose(out.data, 0.0, atol=1e-5)
 
 
 def test_layernorm_standardizes_two_points():
-    out = ag.layernorm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)),
+    out = ag.layernorm((Tensor([[1.0, 3.0]]),), Tensor(np.ones(2)),
                        Tensor(np.zeros(2)), eps=1e-12)
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-3)
 
 
 def test_layernorm_feature_mismatch():
     with pytest.raises(ValueError, match="feature size"):
-        ag.layernorm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)),
+        ag.layernorm((Tensor(np.zeros((2, 4))),), Tensor(np.ones(3)),
                      Tensor(np.zeros(3)))
 
 
@@ -225,11 +243,11 @@ def test_layernorm_gradients_match_finite_differences():
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 4), requires_grad=True)
     w = rng.uniform(-1, 1, (2, 4))
-    ag.backward(weighted_sum(ag.layernorm(x, gamma, beta, 1e-8), w))
+    ag.backward(weighted_sum(ag.layernorm((x,), gamma, beta, 1e-8), w))
 
     def f():
         with ag.no_grad():
-            return float(weighted_sum(ag.layernorm(x, gamma, beta, 1e-8), w).data)
+            return float(weighted_sum(ag.layernorm((x,), gamma, beta, 1e-8), w).data)
 
     assert rel_err(finite_diff(f, gamma), gamma.grad) < 1e-5
     assert rel_err(finite_diff(f, beta), beta.grad) < 1e-5
@@ -294,16 +312,30 @@ def test_embedding_gradient_scatters_to_rows():
 
 
 def test_embedding_table_looked_up_twice_sums_both_scatters():
-    # integer-valued table and weights, so every scattered sum is exact
-    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    first = ag.embedding(table, np.array([[1, 1], [3, 0]]))
-    second = ag.embedding(table, np.array([1, 2, 2, 2]))
-    ag.backward(ag.add(weighted_sum(first, 2.0), weighted_sum(second, 1.0)))
-    # row r gets 2 per lookup in `first` and 1 per lookup in `second`
-    counts = np.array([2.0, 2 * 2 + 1, 3, 2])
-    assert np.array_equal(table.grad, np.repeat(counts[:, None], 3, axis=1))
-    assert table.grad_rows.all()  # the union of both lookups
-    assert_grads_unaliased([table], [first, second])
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    w = rng.uniform(-1, 1, (2, 2, 3))
+    held = []
+
+    def build():
+        first = ag.embedding(table, np.array([[1, 1], [3, 0]]))
+        # (2, 3), broadcast over first's leading axis
+        second = ag.embedding(table, np.array([1, 2]))
+        out = ag.layernorm((first, second), *unit_scale(3))
+        held[:] = first, second, out
+        return weighted_sum(out, w)
+
+    ag.backward(build())
+
+    def f():
+        with ag.no_grad():
+            return float(build().data)
+
+    assert rel_err(finite_diff(f, table), table.grad) < 1e-6
+    assert not table.grad[4].any()  # row 4 is never looked up
+    # the union of both lookups
+    assert np.array_equal(np.flatnonzero(table.grad_rows), [0, 1, 2, 3])
+    assert_grads_unaliased([table], held)
     assert not np.shares_memory(table.grad, table.data)
 
 
@@ -528,7 +560,7 @@ def test_backward_quadratic_gives_weights():
 
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ag.add(w, 2.0)
+    out = ag.relu(w)
     with pytest.raises(ValueError, match="scalar"):
         ag.backward(out)
 
@@ -544,20 +576,20 @@ def test_gradients_accumulate_until_zeroed():
 
 
 def test_second_backward_through_consumed_graph_raises():
-    w = Tensor(np.ones(3), requires_grad=True)
-    hidden = ag.add(w, w)
+    w = Tensor(np.ones((1, 3)), requires_grad=True)
+    hidden = ag.linear(w, Tensor(2 * np.eye(3)), Tensor(np.zeros(3)))
     loss = weighted_sum(hidden, 4.0)
     ag.backward(loss)
-    assert np.array_equal(w.grad, 8 * np.ones(3))
+    assert np.array_equal(w.grad, np.full((1, 3), 8.0))
     with pytest.raises(ag.GraphConsumedError):
         ag.backward(loss)
     # a new graph on top of a consumed tensor reaches the consumed node too
     with pytest.raises(ag.GraphConsumedError):
         ag.backward(weighted_sum(hidden, 1.0))
     # the refused calls changed no gradient, and held tensors keep theirs
-    assert np.array_equal(w.grad, 8 * np.ones(3))
+    assert np.array_equal(w.grad, np.full((1, 3), 8.0))
     assert np.array_equal(loss.grad, 1.0)
-    assert np.array_equal(hidden.grad, 4 * np.ones(3))
+    assert np.array_equal(hidden.grad, np.full((1, 3), 4.0))
 
 
 def projection_chain_loss(x, weighting, length=40):
@@ -639,6 +671,7 @@ def test_determinism_bit_identical_runs():
 def test_non_finite_values_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         Tensor([1.0, np.nan])
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            ag.add(Tensor([1e308]), Tensor([1e308]))
+    # a sum of finite terms that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ag.NonFiniteError, match="non-finite"):
+            ag.layernorm((Tensor([1e308]), Tensor([1e308])), *unit_scale(1))

@@ -325,6 +325,7 @@ ADAPTER_MANIFEST_DAMAGE = {
     "scaling false": lambda m: m.update(scaling=False),
     "scaling inf": lambda m: m.update(scaling=1e400),
     "scaling nan": lambda m: m.update(scaling=float("nan")),
+    "scaling 10 ** 400": lambda m: m.update(scaling=10 ** 400),
     "rank_plan for 3 of 4 blocks":
         lambda m: m["rank_plan"]["block_rank"].pop(),
 }
@@ -412,8 +413,23 @@ def test_merged_checkpoint_with_a_damaged_flag_is_not_merged_again(
     assert not (tmp_path / "again.ckpt").exists()
 
 
+def test_eval_applies_no_adapters_to_a_merged_checkpoint(fresh_lora_run,
+                                                        tmp_path, capsys):
+    merged = tmp_path / "merged.ckpt"
+    adapters = fresh_lora_run / "adapters.ckpt"
+    assert run("merge", "--base", fresh_lora_run / "model.ckpt",
+               "--adapters", adapters, "--out", merged) == 0
+    capsys.readouterr()
+    assert run("eval", "--config", fresh_lora_run.parent / "m.json",
+               "--checkpoint", merged, "--adapters", adapters,
+               "--out", tmp_path / "ev") == 2
+    assert "already has adapters merged in" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "eval.json").exists()
+
+
 @pytest.mark.parametrize("meta", [[1, 2], "x", {"model_digest": 5},
-                                  {"digest": ["a"]}], ids=repr)
+                                  {"digest": ["a"]}, {"epsilon": float("nan")}],
+                         ids=repr)
 def test_malformed_importance_meta_exits_2(config_path, tmp_path, capsys,
                                            meta):
     imp = tmp_path / "imp"
@@ -683,6 +699,27 @@ BAD_CONFIGS = {
     "rank.n_high": {"rank": {"n_high": "2"}},
     "importance.batch_size": {"importance": {"batch_size": 3.5}},
 }
+
+
+# case -> (config key, the JSON literal written for it); `json` reads each
+NON_FINITE_FLOATS = {
+    "importance.epsilon NaN": ("importance.epsilon", "NaN"),
+    "train.learning_rate NaN": ("train.learning_rate", "NaN"),
+    "train.weight_decay -Infinity": ("train.weight_decay", "-Infinity"),
+    "model.init_std 1e400": ("model.init_std", "1e400"),
+    "model.layernorm_eps 10 ** 400": ("model.layernorm_eps", "1" + "0" * 400),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_FLOATS))
+def test_non_finite_config_float_exits_2_and_names_it(tmp_path, capsys, case):
+    named, literal = NON_FINITE_FLOATS[case]
+    section, key = named.split(".")
+    cfg = write_config(tmp_path / "bad.json", **{section: {key: "VALUE"}})
+    cfg.write_text(cfg.read_text().replace('"VALUE"', literal))
+    assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
+    assert f"'{named}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("named", list(BAD_CONFIGS))

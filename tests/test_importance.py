@@ -194,3 +194,23 @@ def test_map_invariants_enforced():
         make_map([[0.5]], raw=[[-1.0]])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         make_map([[1.5]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_map_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="finite"):
+        make_map([[0.5]], raw=[[value]])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        make_map([[value]], raw=[[0.5]])
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_l2_normalize_needs_a_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        l2_normalize(np.ones((2, 2)), epsilon)
+
+
+def test_estimate_importance_refuses_a_nan_epsilon(toy_weights, parity_batch):
+    with pytest.raises(ValueError, match="epsilon"):
+        estimate_importance(toy_weights, parity_batch.slice(0, 4),
+                            epsilon=np.nan)

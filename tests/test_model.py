@@ -295,7 +295,8 @@ def regime_graph_nodes(weights, regime, batch, mask=None):
 
 def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
     """Each block records one node per projection, one for its attention
-    and five more (two residual adds, two LayerNorms, the ReLU)."""
+    and three more (two LayerNorms, the ReLU). Each residual sum is part
+    of the LayerNorm that reads it, so no sum is a node of its own."""
     batch = parity_batch.slice(0, 8)
     keep = np.ones((4, 4), dtype=bool)
     keep[[0, 1, 2, 3], [3, 0, 2, 1]] = False  # every block keeps 3 heads
@@ -306,20 +307,21 @@ def test_graph_node_counts_at_toy_geometry(toy_config, parity_batch):
             weights = apply_slice_prune(weights, PrunePlan(keep, 12))
         return regime_graph_nodes(weights, regime, batch, mask)
 
-    # full_finetune: 4 x 12 block nodes, the last block's CLS-row select
-    # (first_token), 6 embedding nodes, pooler and classifier (linear,
-    # tanh, linear) and the loss
-    assert count("full_finetune") == 59
+    # full_finetune: 4 x 10 block nodes, the last block's CLS-row select
+    # (first_token), 4 embedding nodes (three lookups and the LayerNorm
+    # over their sum), pooler and classifier (linear, tanh, linear) and
+    # the loss
+    assert count("full_finetune") == 49
     # frozen embeddings record only their LayerNorm
-    assert count("lora") == 54
-    assert count("prune_lora") == 54
+    assert count("lora") == 46
+    assert count("prune_lora") == 46
     # only the head mask is trainable: block 0 starts at its attention
-    assert count("importance", HeadMask.ones(toy_config)) == 50
+    assert count("importance", HeadMask.ones(toy_config)) == 42
 
 
 def test_graph_node_counts_with_an_empty_block(empty_block_weights,
                                                parity_batch):
-    """A block that lost every head records the same 12 nodes as a full
+    """A block that lost every head records the same 10 nodes as a full
     one: four zero-wide projections, its attention, and the rest."""
     batch = parity_batch.slice(0, 8)
 
@@ -327,6 +329,6 @@ def test_graph_node_counts_with_an_empty_block(empty_block_weights,
         return regime_graph_nodes(empty_block_weights.clone(), regime, batch,
                                   mask)
 
-    assert count("full_finetune") == 59
-    assert count("prune_lora") == 54
-    assert count("importance", HeadMask.ones(empty_block_weights.config)) == 50
+    assert count("full_finetune") == 49
+    assert count("prune_lora") == 46
+    assert count("importance", HeadMask.ones(empty_block_weights.config)) == 42

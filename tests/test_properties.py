@@ -1,7 +1,7 @@
 """The paper's invariants as properties over drawn geometries, batches,
 prune plans and rank plans, and finite differences through attention with
-fewer queries than keys and through a projection with or without its
-adapter.
+fewer queries than keys, through a projection with or without its
+adapter, and through a LayerNorm over a sum of broadcast terms.
 
 Configs have 1-3 blocks of 1-4 heads of width 1-8; batches have 1-4 rows
 of 1-6 positions, right-padded, some with a row that holds only CLS; prune
@@ -336,3 +336,48 @@ def test_attention_gradients_with_fewer_queries_than_keys(data):
     for name, x in t.items():
         assert x.grad.shape == x.data.shape, name
         assert rel_err(finite_diff(f, x), x.grad, floor=1e-3) < 1e-6, name
+
+
+@given(st.data())
+def test_layernorm_gradients_over_broadcast_terms(data):
+    """Each term, gamma and beta against central differences, for one to
+    three terms of shape (b, s, d), (s, d) or (1, d) in any order, one of
+    them maybe passed twice, each frozen or trainable: a frozen one gets no
+    gradient, and no `.grad` shares memory with another."""
+    b, s, d = (data.draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    broadcast = st.sampled_from([(b, s, d), (s, d), (1, d)])
+    shapes = [(b, s, d)] + data.draw(st.lists(broadcast, max_size=2))
+    leaves = [Tensor(rng.uniform(-1, 1, shape), requires_grad=data.draw(st.booleans()))
+              for shape in shapes]
+    terms = leaves + data.draw(st.lists(st.sampled_from(leaves), max_size=1))
+    terms = data.draw(st.permutations(terms))
+    gamma = Tensor(rng.uniform(0.5, 1.5, d), requires_grad=data.draw(st.booleans()))
+    beta = Tensor(rng.uniform(-0.5, 0.5, d), requires_grad=data.draw(st.booleans()))
+    leaves += [gamma, beta]
+
+    def build():
+        return ag.layernorm(terms, gamma, beta, 1e-8)
+
+    total = sum((t.data for t in terms[1:]), terms[0].data)
+    centered = total - total.mean(-1, keepdims=True)
+    expected = (centered / np.sqrt((centered ** 2).mean(-1, keepdims=True) + 1e-8)
+                * gamma.data + beta.data)
+    out = build()
+    assert np.abs(out.data - expected).max() < 1e-12
+
+    g = rng.uniform(-1, 1, (b, s, d))
+    ag.backward(weighted_sum(out, g))
+
+    def f():
+        with ag.no_grad():
+            return float(weighted_sum(build(), g).data)
+
+    for i, x in enumerate(leaves):
+        if x.requires_grad:
+            assert rel_err(finite_diff(f, x), x.grad, floor=1e-3) < 1e-6, i
+            for other in leaves + [out]:
+                if other is not x and other.grad is not None:
+                    assert not np.shares_memory(x.grad, other.grad), i
+        else:
+            assert x.grad is None, i

@@ -336,18 +336,22 @@ def test_adamw_row_tracked_table_matches_the_reference_expression(small_chunk,
 def test_adamw_table_with_a_dense_contribution_falls_back_to_dense(
         small_chunk, wd, dense_runs):
     def contribute(table, ids, step, rng):
-        def dense_loss():
-            return weighted_sum(ag.add(table, 1.0),
-                                rng.normal(size=table.data.shape))
+        rows, width = table.data.shape
+
+        def dense_term():
+            # the table as a projection weight: a gradient on every row
+            x = Tensor(rng.normal(size=ids.shape + (rows,)))
+            return ag.linear(x, table, Tensor(np.zeros(width)))
 
         # backward runs nodes in reverse creation order
         if dense_runs == "last":
-            dense = dense_loss()
-        out = ag.embedding(table, ids)
-        rows = weighted_sum(out, rng.normal(size=out.data.shape))
+            dense = dense_term()
+        looked_up = ag.embedding(table, ids)
         if dense_runs == "first":
-            dense = dense_loss()
-        ag.backward(ag.add(rows, dense))
+            dense = dense_term()
+        out = ag.layernorm((looked_up, dense), Tensor(np.ones(width)),
+                           Tensor(np.zeros(width)))
+        ag.backward(weighted_sum(out, rng.normal(size=out.data.shape)))
         assert table.grad_rows is None
 
     opt = train_table(wd, contribute)
