@@ -196,12 +196,14 @@ def estimate_flops(config: ModelConfig, prune_plan=None, seq_len: int = 128) -> 
 
     Every term mirrors the forward pass (the instrumented engine counter
     reproduces the matmul terms to the FLOP). Attention is computed over
-    the full padded length, which is what the forward pass does too. The
-    pooler reads only the CLS row of the last block, so that block
-    projects K and V for every position but computes its Q, its scores
-    (one query against `seq_len` keys), its output projection, LayerNorms,
-    FFN, biases and residual adds for the CLS row alone. MHA cost is
-    linear in the kept head count of each block.
+    all `seq_len` positions, padded ones included, as the forward pass
+    does; `data.batches` pads each batch only to its longest row, so
+    there `seq_len` is that row's length. The pooler reads only the CLS
+    row of the last block, so that block projects K and V for every
+    position but computes its Q, its scores (one query against `seq_len`
+    keys), its output projection, LayerNorms, FFN, biases and residual
+    adds for the CLS row alone. MHA cost is linear in the kept head count
+    of each block.
 
     Since the last block costs less per head than the others, the count
     depends on where the kept heads sit. A bare keep count is spread by

@@ -47,6 +47,10 @@ class TokenBatch:
         m = self.attention_mask
         if np.any((np.diff(m, axis=1) > 0)):
             raise ValueError("attention_mask ones must form a prefix (right padding)")
+        # a row without tokens would attend over padding alone, and its
+        # logits would depend on the batch width (see `batches`)
+        if self.size and (m.shape[1] == 0 or not m[:, 0].all()):
+            raise ValueError("every row must hold its first (CLS) token")
 
     @property
     def size(self) -> int:
@@ -58,17 +62,28 @@ class TokenBatch:
         return int(self.attention_mask.sum())
 
     def slice(self, start: int, stop: int) -> "TokenBatch":
-        return TokenBatch(
-            self.token_ids[start:stop],
-            self.attention_mask[start:stop],
-            self.labels[start:stop],
-        )
+        return self.take(slice(start, stop))
+
+    def take(self, rows) -> "TokenBatch":
+        """The rows a slice or an index array selects, in its order."""
+        return TokenBatch(self.token_ids[rows], self.attention_mask[rows],
+                          self.labels[rows])
 
 
 def batches(data: TokenBatch, batch_size: int):
-    """Yield submission-order slices of at most batch_size rows."""
+    """Yield submission-order slices of at most batch_size rows, each padded
+    only to its longest row: columns that are all padding are dropped.
+
+    The cut is exact: a padded key gets `model.PAD_SCORE`, whose `exp`
+    underflows to 0, and nothing reads a padded query row, so a row's
+    logits and every gradient are those of the full-width batch up to
+    summation order."""
+    lengths = data.attention_mask.sum(axis=1)
     for start in range(0, data.size, batch_size):
-        yield data.slice(start, min(start + batch_size, data.size))
+        rows = slice(start, start + batch_size)
+        width = int(lengths[rows].max())
+        yield TokenBatch(data.token_ids[rows, :width],
+                         data.attention_mask[rows, :width], data.labels[rows])
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ def estimate_importance(
 ) -> ImportanceMap:
     """Full pipeline: raw accumulation, L2 normalization, min-max."""
     if sample_size is not None:
+        if sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         sample = sample.slice(0, min(sample_size, sample.size))
     raw, token_count = estimate_raw_importance(weights, sample, batch_size)
     l2 = l2_normalize(raw, epsilon)

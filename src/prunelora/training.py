@@ -61,6 +61,14 @@ class TrainConfig(Record):
             raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        # written so that NaN fails each test
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.importance_sample_size < 1:
+            raise ValueError("importance_sample_size must be >= 1, "
+                             f"got {self.importance_sample_size}")
 
 
 @dataclass
@@ -238,8 +246,20 @@ def predict(
     adapters: LoraAdapters | None = None,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Logits over the dataset, run in batches of `batch_size` rows, no
-    gradient recording."""
+    """Logits over the dataset in submission order, no gradient recording.
+
+    Rows run longest first (a stable sort, so equal lengths keep their
+    order) in batches of `batch_size` rows, each padded only to its longest
+    row (`data.batches`), so a batch holds rows of similar length and
+    little padding; the logits are written back to the rows' positions.
+    Rows already longest first, as when all have one length, run as they
+    are."""
+    lengths = data.attention_mask.sum(axis=1)
+    if np.any(np.diff(lengths) > 0):
+        order = np.argsort(-lengths, kind="stable")
+        logits = np.empty((data.size, weights.config.num_classes))
+        logits[order] = predict(weights, data.take(order), adapters, batch_size)
+        return logits
     with ag.no_grad():
         return np.concatenate(
             [forward(weights, batch, adapters=adapters).data
@@ -304,12 +324,7 @@ def train(
 
         for epoch in range(1, config.epochs + 1):
             t0 = time.perf_counter()
-            perm = rng.permutation(train_data.size)
-            shuffled = TokenBatch(
-                train_data.token_ids[perm],
-                train_data.attention_mask[perm],
-                train_data.labels[perm],
-            )
+            shuffled = train_data.take(rng.permutation(train_data.size))
             losses = []
             for batch in batches(shuffled, config.batch_size):
                 loss = ag.cross_entropy(

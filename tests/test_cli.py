@@ -722,6 +722,30 @@ def test_non_finite_config_float_exits_2_and_names_it(tmp_path, capsys, case):
     assert not (tmp_path / "x").exists()
 
 
+# case -> (config key, value, the TrainConfig field the error names)
+OUT_OF_RANGE = {
+    "train.learning_rate -0.5": ("train.learning_rate", -0.5, "learning_rate"),
+    "train.learning_rate 0": ("train.learning_rate", 0.0, "learning_rate"),
+    "train.weight_decay -3": ("train.weight_decay", -3, "weight_decay"),
+    "importance.sample_size -3": ("importance.sample_size", -3,
+                                  "importance_sample_size"),
+    "importance.sample_size 0": ("importance.sample_size", 0,
+                                 "importance_sample_size"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+@pytest.mark.parametrize("command", ["train", "importance"])
+def test_out_of_range_train_knob_exits_2_and_names_it(tmp_path, capsys, case,
+                                                      command):
+    named, value, field = OUT_OF_RANGE[case]
+    section, key = named.split(".")
+    cfg = write_config(tmp_path / "bad.json", **{section: {key: value}})
+    assert run(command, "--config", cfg, "--out", tmp_path / "x") == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("named", list(BAD_CONFIGS))
 def test_bad_config_key_exits_2_and_names_it(tmp_path, capsys, named):
     cfg = write_config(tmp_path / "bad.json", **BAD_CONFIGS[named])

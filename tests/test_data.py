@@ -109,10 +109,29 @@ def test_token_batch_rejects_non_prefix_mask():
         TokenBatch(np.zeros((1, 3)), np.array([[1, 0, 1]]), np.zeros(1))
 
 
+def test_token_batch_rejects_a_row_without_tokens():
+    for mask in ([[1, 1], [0, 0]], np.zeros((1, 0))):
+        with pytest.raises(ValueError, match="CLS"):
+            TokenBatch(np.zeros_like(mask), mask, np.zeros(len(mask)))
+    TokenBatch(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))  # no rows
+
+
 def test_batches_cover_in_order():
-    train, _ = generate(spec("parity", train_size=10))
-    sizes = [b.size for b in batches(train, 4)]
-    assert sizes == [4, 4, 2]
+    # contains-pattern rows hold 9 to 17 tokens of 17 columns
+    train, _ = generate(spec("contains-pattern", seq_len=16, train_size=10))
+    lengths = train.attention_mask.sum(axis=1)
+    got = list(batches(train, 4))
+    assert [b.size for b in got] == [4, 4, 2]
+    for start, b in zip(range(0, 10, 4), got):
+        rows = slice(start, start + 4)
+        width = lengths[rows].max()
+        # each batch is padded only to its longest row
+        assert b.token_ids.shape[1] == b.attention_mask.shape[1] == width
+        assert np.array_equal(b.token_ids, train.token_ids[rows, :width])
+        assert np.array_equal(b.attention_mask, train.attention_mask[rows, :width])
+        assert np.array_equal(b.labels, train.labels[rows])
+        assert not train.attention_mask[rows, width:].any()
+    assert any(b.token_ids.shape[1] < train.token_ids.shape[1] for b in got)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,14 @@ def test_l2_normalize_needs_a_finite_epsilon(epsilon):
         l2_normalize(np.ones((2, 2)), epsilon)
 
 
+@pytest.mark.parametrize("sample_size", [0, -3])
+def test_estimate_importance_refuses_a_sample_size_below_one(
+        toy_weights, parity_batch, sample_size):
+    with pytest.raises(ValueError, match="sample_size"):
+        estimate_importance(toy_weights, parity_batch.slice(0, 16),
+                            sample_size=sample_size)
+
+
 def test_estimate_importance_refuses_a_nan_epsilon(toy_weights, parity_batch):
     with pytest.raises(ValueError, match="epsilon"):
         estimate_importance(toy_weights, parity_batch.slice(0, 4),

@@ -1,7 +1,9 @@
 """The paper's invariants as properties over drawn geometries, batches,
 prune plans and rank plans, and finite differences through attention with
 fewer queries than keys, through a projection with or without its
-adapter, and through a LayerNorm over a sum of broadcast terms.
+adapter, and through a LayerNorm over a sum of broadcast terms. A batch
+cut to its longest row (`data.batches`) and `predict`'s longest-first
+order give the full-width results.
 
 Configs have 1-3 blocks of 1-4 heads of width 1-8; batches have 1-4 rows
 of 1-6 positions, right-padded, some with a row that holds only CLS; prune
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from prunelora import autograd as ag
 from prunelora import (
+    HeadMask,
     ModelConfig,
     PrunePlan,
     TokenBatch,
@@ -37,15 +40,27 @@ from prunelora import (
     merge_adapters,
 )
 from prunelora.autograd import Tensor
+from prunelora.data import batches
 from prunelora.lora import adapter_shapes, load_adapters, save_adapters
 from prunelora.model import PAD_SCORE
-from prunelora.training import AdamW
+from prunelora.training import AdamW, predict
 
 from conftest import finite_diff, rel_err, weighted_sum
 
 CLS = 2
 VOCAB = 8
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def padded_batch(draw, rng, b, s, num_classes):
+    """`b` right-padded rows of 1 to `s` tokens, maybe one of CLS alone."""
+    lengths = draw(st.lists(st.integers(1, s), min_size=b, max_size=b))
+    if draw(st.booleans()):
+        lengths[-1] = 1  # a row that holds only CLS
+    att = (np.arange(s) < np.array(lengths)[:, None]).astype(np.int64)
+    ids = rng.integers(3, VOCAB, (b, s)) * att
+    ids[:, 0] = CLS
+    return TokenBatch(ids, att, rng.integers(0, num_classes, b))
 
 
 @st.composite
@@ -63,13 +78,7 @@ def cases(draw):
         t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
 
     b, s = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    lengths = draw(st.lists(st.integers(1, s), min_size=b, max_size=b))
-    if draw(st.booleans()):
-        lengths[-1] = 1  # a row that holds only CLS
-    att = (np.arange(s) < np.array(lengths)[:, None]).astype(np.int64)
-    ids = rng.integers(3, VOCAB, (b, s)) * att
-    ids[:, 0] = CLS
-    batch = TokenBatch(ids, att, rng.integers(0, cfg.num_classes, b))
+    batch = padded_batch(draw, rng, b, s, cfg.num_classes)
 
     keep = np.array(draw(st.lists(st.booleans(), min_size=cfg.num_layers * heads,
                                   max_size=cfg.num_layers * heads)))
@@ -190,6 +199,54 @@ def test_merge_is_exact(case, seed):
     merged = merge_adapters(sliced, adapters)
     assert np.abs(logits(merged, batch)
                   - logits(sliced, batch, adapters=adapters)).max() <= 1e-10
+
+
+@given(sliced_cases(), SEEDS, st.sampled_from(["full_finetune", "prune_lora"]))
+def test_a_batch_cut_to_its_longest_row_gives_the_padded_results(case, seed,
+                                                                 regime):
+    """The batch padded to max_positions and `batches`' cut of it give the
+    same logits, and the same gradients (head mask included) after one
+    backward, to 1e-12."""
+    sliced, batch, _, ranks = case
+    pad = ((0, 0), (0, sliced.config.max_positions - batch.token_ids.shape[1]))
+    padded = TokenBatch(np.pad(batch.token_ids, pad),
+                        np.pad(batch.attention_mask, pad), batch.labels)
+    (cut,) = batches(padded, padded.size)
+    assert cut.token_ids.shape[1] == batch.attention_mask.sum(axis=1).max()
+
+    def run(rows):
+        weights = sliced.clone()
+        adapters = (None if regime == "full_finetune"
+                    else adapters_for(weights, ranks, seed, b_std=0.3))
+        freeze_policy(weights, adapters, regime)
+        mask = HeadMask.ones(weights.config)
+        out = forward(weights, rows, mask=mask, adapters=adapters)
+        ag.backward(ag.cross_entropy(out, rows.labels))
+        tensors = [mask.xi] + weights.all_tensors() + (
+            adapters.all_tensors() if adapters else [])
+        return out.data, [np.zeros_like(t.data) if t.grad is None else t.grad
+                          for t in tensors]
+
+    (want, want_grads), (got, got_grads) = run(padded), run(cut)
+    assert np.abs(got - want).max() <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12
+
+
+@given(cases(), st.data())
+def test_predict_returns_submission_order_logits(case, data):
+    """`predict` ranks rows longest first; each row still gets the logits
+    of a full-width forward over its submission-order batch, to 1e-12."""
+    weights, _, _ = case
+    rng = np.random.default_rng(data.draw(SEEDS))
+    rows = padded_batch(data.draw, rng, data.draw(st.integers(1, 12)),
+                        weights.config.max_positions, weights.config.num_classes)
+    batch_size = data.draw(st.integers(1, 4))
+    want = np.concatenate([logits(weights, rows.slice(i, i + batch_size))
+                           for i in range(0, rows.size, batch_size)])
+    got = predict(weights, rows, batch_size=batch_size)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
 
 
 @given(sliced_cases())

@@ -549,3 +549,10 @@ def test_invalid_train_config_rejected():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
+    for field, bad in (("learning_rate", -0.5), ("learning_rate", 0.0),
+                       ("learning_rate", float("nan")), ("weight_decay", -3.0),
+                       ("importance_sample_size", 0),
+                       ("importance_sample_size", -3)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TrainConfig(**{field: bad})
+    TrainConfig(weight_decay=0.0, importance_sample_size=1)
