@@ -32,7 +32,9 @@ A transformer block is built from two fused ops, one graph node each:
   side path `scaling * (x @ A) @ B` when an adapter is attached.
 - `attention(q, k, v, bias, d_h, xi, heads)` is the scaled dot-product
   attention of every kept head of a block, each head optionally scaled by
-  its head-mask scalar. Its queries need not be as many as its keys: `q`
+  its head-mask scalar. The heads run as one batch: q, k and v are viewed
+  as `(b, H, rows, d_h)`, and every product is one `(b, H, ., .)`
+  matmul. Its queries need not be as many as its keys: `q`
   may be `(b, s_q, w)` or, one query per row, `(b, w)`, against `(b, s, w)`
   keys and values. The model's last block passes only the CLS row, and
   `accounting.estimate_flops` counts that block's terms for one query
@@ -410,12 +412,15 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
     mask `xi` of shape `(layers, original heads)`, head j's output is
     scaled by `xi[layer, heads[1][j]]`.
 
-    Forward loops over the heads on contiguous per-head slices, which keeps
-    the per-head GEMM shape; it costs `2 * s * q.size` MACs. Backward is
-    written out: per head, the mask-scalar gradient
-    `d xi = sum(g_j * head_j)` over the unmasked head output, then the
-    softmax backward `p * (g - sum(g * p))`; `dq` comes back in q's shape,
-    `dk` and `dv` in k's.
+    All heads run together: q, k and v are viewed as `(b, H, rows, d_h)`,
+    so the scores of every head are one `(b, H, s_q, s)` product, softmaxed
+    in place, and the outputs one product with the values; it costs
+    `2 * s * q.size` MACs. Backward is written out on the same buffers:
+    the mask gradient `d xi[layer, j] = sum(g_j * head_j)` over the
+    unmasked head output (kept only when xi needs a gradient), then the
+    softmax backward `p * (g - sum(g * p))`, with each head's mask scalar
+    applied to its score gradient and its dv; `dq` comes back in q's
+    shape, `dk` and `dv` in k's.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     shape, q_shape = k.data.shape, q.data.shape
@@ -439,69 +444,73 @@ def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:
             raise ValueError("attention: a head mask needs `heads`")
         xi = _as_tensor(xi)
         parents += (xi,)
-    # the mask gradient needs each head's output before the mask scaled it
+    # the mask gradient needs the head outputs before the mask scaled them
     mask_grad = xi is not None and xi.requires_grad and _grad_enabled
     scale = 1.0 / math.sqrt(d_h)
-    # queries as (b, s_q, width); a view of q's data
-    qd = q.data if len(q_shape) == 3 else q.data[:, None, :]
-    out = np.empty(qd.shape)
-    probs, unmasked = [], []
-    for j, orig in enumerate(kept):
-        cols = slice(j * d_h, (j + 1) * d_h)
-        scores = (np.ascontiguousarray(qd[..., cols])
-                  @ k.data[..., cols].swapaxes(-1, -2).copy())
-        scores *= scale
-        scores += bias
-        # softmax over keys, max-subtracted
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        head = scores @ np.ascontiguousarray(v.data[..., cols])
-        if xi is None:
-            out[..., cols] = head
-        else:
-            np.multiply(head, xi.data[layer, orig], out=out[..., cols])
-            if mask_grad:
-                unmasked.append(head)
-        probs.append(scores)
+    b, s = shape[:2]
+
+    def split(a):
+        # (b, rows, width) or, one row, (b, width) -> (b, H, rows, d_h) view
+        rows = a.shape[1] if a.ndim == 3 else 1
+        return a.reshape(b, rows, n_heads, d_h).transpose(0, 2, 1, 3)
+
+    def product(x, y, like):
+        # x @ y over (b, H), written into a new array shaped like `like`,
+        # head j in its columns
+        out = np.empty(like.shape)
+        np.matmul(x, y, out=split(out))
+        return out
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    bias = np.asarray(bias)
+    if bias.ndim == 3:
+        bias = bias[:, None]  # (b, s_q, s): one bias for every head
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    p += bias
+    # softmax over keys, max-subtracted
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = product(p, vh, q.data)
+    if xi is not None:
+        # xi[layer, kept], one scalar per head
+        mask_row = xi.data[layer, kept][:, None, None]
+        unmasked = out.copy() if mask_grad else None
+        head = split(out)
+        head *= mask_row
     if _mac_counters:
-        # per head: (b, s_q, d_h) @ (b, d_h, s), then (b, s_q, s) @ (b, s, d_h)
-        _count_macs(2 * shape[1] * q.data.size)
+        # (b, H, s_q, d_h) @ (b, H, d_h, s), then (b, H, s_q, s) @ (b, H, s, d_h)
+        _count_macs(2 * s * q.data.size)
 
     def bwd(g):
-        g = g.reshape(qd.shape)
-        dq = np.empty(qd.shape) if q.requires_grad else None
-        dk = np.empty(shape) if k.requires_grad else None
-        dv = np.empty(shape) if v.requires_grad else None
-        dxi = np.zeros(xi.data.shape) if mask_grad else None
-        for j, orig in enumerate(kept):
-            cols = slice(j * d_h, (j + 1) * d_h)
-            p = probs[j]
-            gh = g[..., cols]
-            if xi is not None:
-                if dxi is not None:
-                    dxi[layer, orig] = (gh * unmasked[j]).sum()
-                gh = gh * xi.data[layer, orig]
-            if dv is not None:
-                dv[..., cols] = p.swapaxes(-1, -2) @ gh
-            if dq is None and dk is None:
-                continue
-            # softmax backward, then the 1/sqrt(d_h) score scale
-            gp = gh @ v.data[..., cols].swapaxes(-1, -2)
+        gh = split(g)
+        dq = dk = dv = dxi = None
+        if mask_grad:
+            dxi = np.zeros(xi.data.shape)
+            dxi[layer, kept] = np.einsum("bhqd,bhqd->h", gh, split(unmasked))
+        if q.requires_grad or k.requires_grad:
+            # softmax backward, then the 1/sqrt(d_h) score scale and the
+            # mask scalar (the softmax backward is linear in g)
+            gp = gh @ vh.swapaxes(-1, -2)
             gp -= (gp * p).sum(axis=-1, keepdims=True)
             gp *= p
-            gp *= scale
-            if dq is not None:
-                dq[..., cols] = gp @ k.data[..., cols]
-            if dk is not None:
-                dk[..., cols] = gp.swapaxes(-1, -2) @ qd[..., cols]
-        if dq is not None:
-            dq = dq.reshape(q_shape)
+            gp *= scale if xi is None else scale * mask_row
+            if q.requires_grad:
+                dq = product(gp, kh, q.data)
+            if k.requires_grad:
+                dk = product(gp.swapaxes(-1, -2), qh, k.data)
+            del gp  # its memory can take dv
+        if v.requires_grad:
+            dv = product(p.swapaxes(-1, -2), gh, k.data)
+            if xi is not None:
+                dvh = split(dv)
+                dvh *= mask_row
         for t, grad in ((q, dq), (k, dk), (v, dv), (xi, dxi)):
             if grad is not None:
                 t.accumulate_grad(grad, fresh=True)
 
-    return _from_op(out.reshape(q_shape), parents, bwd)
+    return _from_op(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

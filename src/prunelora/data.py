@@ -45,6 +45,8 @@ class TokenBatch:
             raise ValueError("labels length disagrees with batch size")
         # right padding: mask must be a prefix of ones
         m = self.attention_mask
+        if np.any((m != 0) & (m != 1)):
+            raise ValueError("attention_mask holds values other than 0 and 1")
         if np.any((np.diff(m, axis=1) > 0)):
             raise ValueError("attention_mask ones must form a prefix (right padding)")
         # a row without tokens would attend over padding alone, and its

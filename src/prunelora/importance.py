@@ -18,6 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .data import TokenBatch, batches
 from .model import HeadMask, TransformerWeights, forward
+from .schema import ConfigError
 
 DEFAULT_EPSILON = 1e-12
 DEFAULT_SAMPLE_SIZE = 512
@@ -147,12 +148,29 @@ def matrix_digest(matrix: np.ndarray) -> str:
     return hashlib.sha256(matrix_to_csv(matrix).encode()).hexdigest()
 
 
-def csv_to_matrix(text: str) -> np.ndarray:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in text.strip().splitlines()
-        if line
-    ]
+def csv_to_matrix(text: str, source: str = "CSV") -> np.ndarray:
+    """The matrix a `matrix_to_csv` text holds, one row a non-blank line.
+
+    A cell that is not a number, a row whose length differs from the
+    first row's, or a text with no row raises `ConfigError` naming
+    `source` and the 1-based line.
+    """
+    rows, first = [], None
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"{source}: line {n}: {e}") from None
+        if first is None:
+            first = n
+        elif len(row) != len(rows[0]):
+            raise ConfigError(f"{source}: line {n} holds {len(row)} values, "
+                              f"line {first} {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        raise ConfigError(f"{source}: holds no rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -165,8 +183,10 @@ def export_importance(imap: ImportanceMap, csv_path, ppm_path=None) -> None:
 
 
 def import_importance_csv(path) -> np.ndarray:
+    """The matrix in a CSV file; malformed text raises `ConfigError`
+    naming the file (see `csv_to_matrix`)."""
     with open(path, encoding="utf-8") as f:
-        return csv_to_matrix(f.read())
+        return csv_to_matrix(f.read(), str(path))
 
 
 def write_ppm(matrix: np.ndarray, path) -> None:

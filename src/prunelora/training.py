@@ -251,21 +251,16 @@ def predict(
     Rows run longest first (a stable sort, so equal lengths keep their
     order) in batches of `batch_size` rows, each padded only to its longest
     row (`data.batches`), so a batch holds rows of similar length and
-    little padding; the logits are written back to the rows' positions.
-    Rows already longest first, as when all have one length, run as they
-    are."""
-    lengths = data.attention_mask.sum(axis=1)
-    if np.any(np.diff(lengths) > 0):
-        order = np.argsort(-lengths, kind="stable")
-        logits = np.empty((data.size, weights.config.num_classes))
-        logits[order] = predict(weights, data.take(order), adapters, batch_size)
-        return logits
+    little padding; the logits are written back to the rows' positions."""
+    order = np.argsort(-data.attention_mask.sum(axis=1), kind="stable")
+    logits = np.empty((data.size, weights.config.num_classes))
     with ag.no_grad():
-        return np.concatenate(
+        logits[order] = np.concatenate(
             [forward(weights, batch, adapters=adapters).data
-             for batch in batches(data, batch_size)],
+             for batch in batches(data.take(order), batch_size)],
             axis=0,
         )
+    return logits
 
 
 def score(logits: np.ndarray, data: TokenBatch, batch_size: int = 32):

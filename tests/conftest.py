@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import json  # noqa: E402
+import math  # noqa: E402
 import struct  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -61,6 +62,44 @@ def weighted_sum(out, w):
             out.accumulate_grad(g * w, fresh=True)
 
     return ag._from_op(np.asarray((out.data * w).sum()), (out,), bwd)
+
+
+def attention_reference(q, k, v, bias, d_h, xi=None, heads=None, g=None):
+    """`autograd.attention` as a loop over heads, on numpy arrays.
+
+    Returns the output; given the upstream gradient `g`, returns
+    `(out, dq, dk, dv, dxi)`, `dxi` None without a mask.
+    """
+    one_query = q.ndim == 2
+    if one_query:
+        q, g = q[:, None], None if g is None else g[:, None]
+    layer, kept = heads if heads is not None else (None, range(k.shape[-1] // d_h))
+    out, dq = np.zeros(q.shape), np.zeros(q.shape)
+    dk, dv = np.zeros(k.shape), np.zeros(k.shape)
+    dxi = None if xi is None else np.zeros(xi.shape)
+    for j, orig in enumerate(kept):
+        cols = slice(j * d_h, (j + 1) * d_h)
+        qj, kj, vj = q[..., cols], k[..., cols], v[..., cols]
+        scores = qj @ kj.swapaxes(-1, -2) / math.sqrt(d_h) + bias
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        head = p @ vj
+        scale = 1.0 if xi is None else xi[layer, orig]
+        out[..., cols] = head * scale
+        if g is None:
+            continue
+        gj = g[..., cols]
+        if xi is not None:
+            dxi[layer, orig] = (gj * head).sum()
+        gj = gj * scale
+        dv[..., cols] = p.swapaxes(-1, -2) @ gj
+        gp = gj @ vj.swapaxes(-1, -2)
+        ds = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / math.sqrt(d_h)
+        dq[..., cols] = ds @ kj
+        dk[..., cols] = ds.swapaxes(-1, -2) @ qj
+    if one_query:
+        out, dq = out[:, 0], dq[:, 0]
+    return out if g is None else (out, dq, dk, dv, dxi)
 
 
 def repack_checkpoint(path, edit_manifest):

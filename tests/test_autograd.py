@@ -8,7 +8,7 @@ from prunelora import autograd as ag
 from prunelora.autograd import Tensor
 from prunelora.model import PAD_SCORE
 
-from conftest import finite_diff, rel_err, weighted_sum
+from conftest import attention_reference, finite_diff, rel_err, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +430,6 @@ def attention_inputs(trainable, kept=(0, 2)):
     return t, bias
 
 
-def attention_reference(t, bias, kept, layer=1, d_h=3):
-    heads = []
-    for j, orig in enumerate(kept):
-        cols = slice(j * d_h, (j + 1) * d_h)
-        scores = (t["q"].data[..., cols] @ t["k"].data[..., cols].swapaxes(1, 2)
-                  / math.sqrt(d_h) + bias)
-        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
-        heads.append(p @ t["v"].data[..., cols] * t["xi"].data[layer, orig])
-    return np.concatenate(heads, axis=-1)
-
-
 @pytest.mark.parametrize("trainable", [("q", "k", "v", "xi"), ("q",), ("k",),
                                        ("v",), ("xi",), ("k", "xi")])
 @pytest.mark.parametrize("kept", [(0, 2), (1,)])
@@ -452,7 +440,9 @@ def test_attention_gradients(trainable, kept):
         return ag.attention(t["q"], t["k"], t["v"], bias, 3, xi=t["xi"],
                             heads=(1, list(kept)))
 
-    assert np.abs(build().data - attention_reference(t, bias, kept)).max() < 1e-12
+    want = attention_reference(t["q"].data, t["k"].data, t["v"].data, bias, 3,
+                               t["xi"].data, (1, kept))
+    assert np.abs(build().data - want).max() < 1e-12
     check_gradients(build, list(t.values()))
     if t["xi"].grad is not None:
         # only the kept heads of the given layer carry a mask gradient
@@ -465,10 +455,9 @@ def test_attention_without_mask_and_shared_inputs():
     # self-attention straight on x: q, k and v are one tensor
     t, bias = attention_inputs(())
     x = Tensor(t["q"].data, requires_grad=True)
-    t["xi"].data[...] = 1.0
     out = ag.attention(x, x, x, bias, 3)
-    assert np.abs(out.data - attention_reference(
-        {"q": x, "k": x, "v": x, "xi": t["xi"]}, bias, (0, 1))).max() < 1e-12
+    assert np.abs(out.data - attention_reference(x.data, x.data, x.data, bias,
+                                                 3)).max() < 1e-12
     check_gradients(lambda: ag.attention(x, x, x, bias, 3), [x])
 
 

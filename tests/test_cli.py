@@ -116,23 +116,36 @@ def _rewrite_importance(imp, matrix, digest=None):
     (imp / "importance_meta.json").write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("damage", ["non-finite", "out of range", "digest"])
+# text that is no CSV matrix -> what stderr says after the file name
+MALFORMED_IMPORTANCE = {
+    "ragged": ("0,1,0.5,0.25\n1,0\n", "line 2 holds 2 values, line 1 4"),
+    "empty": ("", "holds no rows"),
+    "not a number": ("0,1\n0.5,one\n", "line 2: could not convert string"),
+}
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "out of range", "digest",
+                                    *MALFORMED_IMPORTANCE])
 def test_prune_refuses_damaged_importance_map(config_path, tmp_path, capsys,
                                               damage):
     imp = tmp_path / "imp"
     assert run("importance", "--config", config_path, "--out", imp) == 0
     final = import_importance_csv(imp / "importance.csv")
+    message = ""
     if damage == "non-finite":
         _rewrite_importance(imp, np.full((4, 4), np.nan))
     elif damage == "out of range":
         _rewrite_importance(imp, np.tile([[5.0, -3.0], [1.0, 0.0]], (2, 2)))
-    else:  # a valid map, but not the one the metadata describes
+    elif damage == "digest":  # a valid map, but not the one the metadata describes
         _rewrite_importance(imp, final[::-1], digest=matrix_digest(final))
+    else:
+        text, message = MALFORMED_IMPORTANCE[damage]
+        (imp / "importance.csv").write_text(text)
     out = tmp_path / "pruned"
     assert run("prune", "--config", config_path,
                "--checkpoint", imp / "model.ckpt",
                "--importance", imp / "importance.csv", "--out", out) == 2
-    assert "importance.csv" in capsys.readouterr().err
+    assert f"{imp / 'importance.csv'}: {message}" in capsys.readouterr().err
     assert not (out / "prune_plan.json").exists()
 
 

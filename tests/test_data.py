@@ -109,6 +109,13 @@ def test_token_batch_rejects_non_prefix_mask():
         TokenBatch(np.zeros((1, 3)), np.array([[1, 0, 1]]), np.zeros(1))
 
 
+def test_token_batch_rejects_mask_values_other_than_0_and_1():
+    # 2, 1, 0 falls left to right, but 2 is not a token flag
+    for mask in ([[2, 1, 0]], [[1, -1, 0]], [[1, 1, 3]]):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            TokenBatch([[2, 3, 4]], mask, [0])
+
+
 def test_token_batch_rejects_a_row_without_tokens():
     for mask in ([[1, 1], [0, 0]], np.zeros((1, 0))):
         with pytest.raises(ValueError, match="CLS"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from prunelora.importance import (
     minmax_normalize,
     write_ppm,
 )
+from prunelora.schema import ConfigError
 
 
 def make_map(final, raw=None):
@@ -174,6 +177,19 @@ def test_csv_roundtrip_exact_on_awkward_floats(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.uniform(0, 1, (3, 5))
     assert np.array_equal(csv_to_matrix(matrix_to_csv(m)), m)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0.5,1\n0,0.25,1\n", "line 2 holds 3 values, line 1 2"),
+    ("\n0.5,1\n\n0,x\n", "line 4: could not convert string to float: 'x'"),
+    ("", "holds no rows"),
+    ("\n \n", "holds no rows"),
+])
+def test_malformed_csv_names_the_file_and_line(tmp_path, text, error):
+    path = tmp_path / "imp.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {error}")):
+        import_importance_csv(path)
 
 
 def test_ppm_all_ones_is_all_255(tmp_path):

@@ -1,9 +1,10 @@
 """The paper's invariants as properties over drawn geometries, batches,
 prune plans and rank plans, and finite differences through attention with
 fewer queries than keys, through a projection with or without its
-adapter, and through a LayerNorm over a sum of broadcast terms. A batch
-cut to its longest row (`data.batches`) and `predict`'s longest-first
-order give the full-width results.
+adapter, and through a LayerNorm over a sum of broadcast terms. Attention,
+all heads in one batched product, matches a per-head loop. A batch cut to
+its longest row (`data.batches`) and `predict`'s longest-first order give
+the full-width results.
 
 Configs have 1-3 blocks of 1-4 heads of width 1-8; batches have 1-4 rows
 of 1-6 positions, right-padded, some with a row that holds only CLS; prune
@@ -45,7 +46,7 @@ from prunelora.lora import adapter_shapes, load_adapters, save_adapters
 from prunelora.model import PAD_SCORE
 from prunelora.training import AdamW, predict
 
-from conftest import finite_diff, rel_err, weighted_sum
+from conftest import attention_reference, finite_diff, rel_err, weighted_sum
 
 CLS = 2
 VOCAB = 8
@@ -236,17 +237,25 @@ def test_a_batch_cut_to_its_longest_row_gives_the_padded_results(case, seed,
 @given(cases(), st.data())
 def test_predict_returns_submission_order_logits(case, data):
     """`predict` ranks rows longest first; each row still gets the logits
-    of a full-width forward over its submission-order batch, to 1e-12."""
+    of a full-width forward over its submission-order batch, to 1e-12,
+    for the drawn rows and for the same rows already longest first. Rows
+    already in that order run as `batches` cuts them, bit for bit."""
     weights, _, _ = case
     rng = np.random.default_rng(data.draw(SEEDS))
-    rows = padded_batch(data.draw, rng, data.draw(st.integers(1, 12)),
-                        weights.config.max_positions, weights.config.num_classes)
+    drawn = padded_batch(data.draw, rng, data.draw(st.integers(1, 12)),
+                         weights.config.max_positions, weights.config.num_classes)
     batch_size = data.draw(st.integers(1, 4))
-    want = np.concatenate([logits(weights, rows.slice(i, i + batch_size))
-                           for i in range(0, rows.size, batch_size)])
-    got = predict(weights, rows, batch_size=batch_size)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12
+    longest_first = drawn.take(np.argsort(-drawn.attention_mask.sum(axis=1),
+                                          kind="stable"))
+    for rows in (drawn, longest_first):
+        want = np.concatenate([logits(weights, rows.slice(i, i + batch_size))
+                               for i in range(0, rows.size, batch_size)])
+        got = predict(weights, rows, batch_size=batch_size)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+    cut = np.concatenate([logits(weights, batch)
+                          for batch in batches(longest_first, batch_size)])
+    assert got.tobytes() == cut.tobytes()
 
 
 @given(sliced_cases())
@@ -393,6 +402,52 @@ def test_attention_gradients_with_fewer_queries_than_keys(data):
     for name, x in t.items():
         assert x.grad.shape == x.data.shape, name
         assert rel_err(finite_diff(f, x), x.grad, floor=1e-3) < 1e-6, name
+
+
+@given(st.data())
+def test_batched_attention_matches_a_per_head_loop(data):
+    """The output and the q, k, v and head-mask gradients of `attention`
+    equal a per-head loop's to 1e-12: 0 to 4 kept heads of up to 4, as
+    many rows as kept heads in some draws, (b, s_q, width) or (b, width)
+    queries, and a bias on keys (b, 1, s) or one per row and query
+    (b, s_q, s). A mask of ones gives the unmasked output bit for bit."""
+    n_kept = data.draw(st.integers(0, 4))
+    kept = sorted(data.draw(st.sets(st.integers(0, 3), min_size=n_kept,
+                                    max_size=n_kept)))
+    b = n_kept if n_kept and data.draw(st.booleans()) else data.draw(st.integers(1, 3))
+    s, d_h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    s_q = data.draw(st.integers(0, s))  # 0: a (b, width) query
+    rng = np.random.default_rng(data.draw(SEEDS))
+    w = n_kept * d_h
+    q_shape = (b, w) if s_q == 0 else (b, s_q, w)
+    if data.draw(st.booleans()):
+        lengths = rng.integers(1, s + 1, b)
+        bias = np.where(np.arange(s) < lengths[:, None], 0.0, PAD_SCORE)[:, None, :]
+    else:
+        bias = rng.normal(0.0, 2.0, (b, max(s_q, 1), s))
+    masked = data.draw(st.booleans())
+    t = {"q": rng.uniform(-1, 1, q_shape), "k": rng.uniform(-1, 1, (b, s, w)),
+         "v": rng.uniform(-1, 1, (b, s, w))}
+    if masked:
+        t["xi"] = rng.uniform(0.5, 1.5, (2, 4))
+    t = {name: Tensor(x, requires_grad=True) for name, x in t.items()}
+    heads = (1, kept)
+    g = rng.uniform(-1, 1, q_shape)
+
+    out = ag.attention(t["q"], t["k"], t["v"], bias, d_h, t.get("xi"), heads)
+    ag.backward(weighted_sum(out, g))
+    want = attention_reference(t["q"].data, t["k"].data, t["v"].data, bias, d_h,
+                               t["xi"].data if masked else None, heads, g)
+    assert out.data.shape == q_shape
+    assert np.abs(out.data - want[0]).max(initial=0.0) <= 1e-12
+    for name, ref in zip(("q", "k", "v", "xi"), want[1:]):
+        if name in t:
+            assert np.abs(t[name].grad - ref).max(initial=0.0) <= 1e-12, name
+
+    plain = ag.attention(t["q"].data, t["k"].data, t["v"].data, bias, d_h)
+    ones = ag.attention(t["q"].data, t["k"].data, t["v"].data, bias, d_h,
+                        np.ones((2, 4)), heads)
+    assert ones.data.tobytes() == plain.data.tobytes()
 
 
 @given(st.data())
