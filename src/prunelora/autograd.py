@@ -330,10 +330,12 @@ def linear(x, W, b, adapter=None) -> Tensor:
     `(k, r)` and `B` of shape `(r, n)`: it adds `scaling * (x @ A) @ B`
     in place before the bias. The forward products follow `_project`.
 
+    The adapter's `scaling` is applied once, to the small `(rows, r)`
+    product `x @ A`, and in backward to its gradient.
+
     Backward runs every gradient product as a 2-D GEMM over the rows
     flattened to `(-1, k)`: dx, dW (skipped for a frozen W), and the
-    adapter's dA and dB, whose `scaling` is applied to the small
-    `(rows, r)` and `(r, n)` products rather than to the upstream gradient.
+    adapter's dA and dB.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     shape = x.data.shape
@@ -359,10 +361,8 @@ def linear(x, W, b, adapter=None) -> Tensor:
             )
         parents += (A, B)
         t = _project(x.data, A.data)
-        delta = _project(t, B.data)
-        if scaling != 1.0:
-            delta *= scaling
-        out += delta
+        t *= scaling
+        out += _project(t, B.data)
         macs += rows * r * (k + n)
     out += b.data
     if _mac_counters:
@@ -379,14 +379,10 @@ def linear(x, W, b, adapter=None) -> Tensor:
         if adapter is not None:
             t2 = t.reshape(rows, r)
             if B.requires_grad:
-                dB = t2.T @ g2
-                if scaling != 1.0:
-                    dB *= scaling
-                B.accumulate_grad(dB, fresh=True)
+                B.accumulate_grad(t2.T @ g2, fresh=True)
             if A.requires_grad or dx is not None:
                 dt = g2 @ B.data.T
-                if scaling != 1.0:
-                    dt *= scaling
+                dt *= scaling
                 if A.requires_grad:
                     A.accumulate_grad(x2.T @ dt, fresh=True)
                 if dx is not None:

@@ -36,17 +36,18 @@ class TokenBatch:
     labels: np.ndarray          # (b,) int64
 
     def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.token_ids.shape != self.attention_mask.shape:
+        self.token_ids = _as_int64(self.token_ids, "token_ids")
+        self.labels = _as_int64(self.labels, "labels")
+        # checked before the cast, which would truncate a fraction
+        m = np.asarray(self.attention_mask)
+        if np.any((m != 0) & (m != 1)):
+            raise ValueError("attention_mask holds values other than 0 and 1")
+        self.attention_mask = m = m.astype(np.int64, copy=False)
+        if self.token_ids.shape != m.shape:
             raise ValueError("token_ids and attention_mask shapes disagree")
         if self.labels.shape != (self.token_ids.shape[0],):
             raise ValueError("labels length disagrees with batch size")
         # right padding: mask must be a prefix of ones
-        m = self.attention_mask
-        if np.any((m != 0) & (m != 1)):
-            raise ValueError("attention_mask holds values other than 0 and 1")
         if np.any((np.diff(m, axis=1) > 0)):
             raise ValueError("attention_mask ones must form a prefix (right padding)")
         # a row without tokens would attend over padding alone, and its
@@ -70,6 +71,20 @@ class TokenBatch:
         """The rows a slice or an index array selects, in its order."""
         return TokenBatch(self.token_ids[rows], self.attention_mask[rows],
                           self.labels[rows])
+
+
+def _as_int64(values, name: str) -> np.ndarray:
+    """`values` as an int64 array. An integer array is cast unchecked; any
+    other must hold whole numbers only (a float NaN, infinity or fraction
+    raises ValueError)."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        return a.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        ints = a.astype(np.int64)
+    if not np.array_equal(ints, a):
+        raise ValueError(f"{name} holds values that are not whole numbers")
+    return ints
 
 
 def batches(data: TokenBatch, batch_size: int):

@@ -9,6 +9,7 @@ under the same freeze policy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -129,8 +130,9 @@ def freeze_policy(
     return trainable
 
 
-# Elements per chunk of AdamW.step: its two float64 scratch arrays of this
-# size (256 KiB each) stay in cache while a large tensor streams through.
+# Elements per row block of AdamW.step, unless one row is wider: its two
+# float64 scratch arrays of this size (256 KiB each) stay in cache while a
+# large tensor streams through.
 ADAMW_CHUNK = 1 << 15
 # AdamW's moment decay rates and denominator guard
 ADAMW_BETA1 = 0.9
@@ -141,23 +143,23 @@ ADAMW_EPS = 1e-8
 class AdamW:
     """Adam with decoupled weight decay applied before the moment update.
 
-    `step` updates each parameter in place through two scratch arrays. A
-    C-contiguous tensor (with a C-contiguous gradient) of more than
-    `ADAMW_CHUNK` elements streams through two arrays of `ADAMW_CHUNK`
-    elements, allocated once per call, in chunks of its flat view; any
-    other tensor is updated whole through scratch of its own size. Every
-    operation is elementwise and runs in the same order on every chunk,
-    so the result has the same bits however the tensor is split. The
-    moments start as `np.zeros`, so large ones are mapped lazily rather
-    than filled.
+    `step` updates each parameter in place, one block of whole first-axis
+    rows at a time: as many rows as fit in `ADAMW_CHUNK` elements, at least
+    one (a 0-d tensor is one block). The blocks are views, so a tensor in
+    any memory layout is updated in place. Two scratch arrays, sized to the
+    largest block, are allocated once with the optimizer, together with
+    each block's views of them; a step allocates no array. Every operation
+    is elementwise and runs in the same order on every block, so the
+    result has the same bits however a tensor is split. The moments start
+    as `np.zeros`, so large ones are mapped lazily rather than filled.
 
-    Such a streamed tensor whose gradients come only from `embedding`
-    lookups (`Tensor.grad_rows`) is tracked by row. A row that has never
-    had a gradient has zero moments, so its full update is exactly the
-    decay `p -= lr*wd*p`: a chunk that holds no row looked up so far (no
-    live row) gets only the decay, every other chunk the full update. Bits,
+    A tensor whose gradients come only from `embedding` lookups
+    (`Tensor.grad_rows`) is tracked by row. A row that has never had a
+    gradient has zero moments, so its full update is exactly the decay
+    `p -= lr*wd*p`: a block that holds no row looked up so far (no live
+    row) gets only the decay, every other block the full update. Bits,
     moments included, are those of the dense update, and the moment pages
-    of chunks without a live row are never touched. A gradient without a
+    of blocks without a live row are never touched. A gradient without a
     row set makes the tensor dense from then on.
     """
 
@@ -170,13 +172,18 @@ class AdamW:
         self.v = [np.zeros(p.data.shape) for p in self.params]
         # per parameter, which rows have had a gradient; None once dense
         self.live = [np.zeros(p.data.shape[:1], dtype=bool) for p in self.params]
+        cuts = [[(c, p.data[c].shape) for c in _row_blocks(p.data.shape)]
+                for p in self.params]
+        size = max((math.prod(b) for bs in cuts for _, b in bs), default=0)
+        scratch = np.empty(size), np.empty(size)
+        # per parameter, each block and its two scratch views in its shape
+        self.blocks = [[(c, *(s[:math.prod(b)].reshape(b) for s in scratch))
+                        for c, b in bs] for bs in cuts]
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - ADAMW_BETA1 ** self.t
         bc2 = 1.0 - ADAMW_BETA2 ** self.t
-        n = ADAMW_CHUNK
-        scratch = None
         for j, (param, m, v) in enumerate(zip(self.params, self.m, self.v)):
             p, g = param.data, param.grad
             if g is None:
@@ -186,27 +193,11 @@ class AdamW:
                 live = self.live[j] = None
             else:
                 live |= rows
-            # reshape(-1) of a non-contiguous array is a copy, and an update
-            # to it would be lost: such a tensor is updated whole
-            if p.size > n and p.flags.c_contiguous and g.flags.c_contiguous:
-                if scratch is None:
-                    scratch = np.empty(n), np.empty(n)
-                s1, s2 = scratch
-                width = p.size // p.shape[0]
-                p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-                for i in range(0, p.size, n):
-                    c = slice(i, i + n)
-                    k = min(n, p.size - i)
-                    # the rows the chunk holds all or part of
-                    first, last = i // width, (i + k - 1) // width
-                    if live is None or live[first:last + 1].any():
-                        self._update(p[c], g[c], m[c], v[c], s1[:k], s2[:k],
-                                     bc1, bc2)
-                    elif self.weight_decay:
-                        self._decay(p[c], s1[:k])
-            else:
-                self._update(p, g, m, v, np.empty_like(p), np.empty_like(p),
-                             bc1, bc2)
+            for c, s1, s2 in self.blocks[j]:
+                if live is None or live[c].any():
+                    self._update(p[c], g[c], m[c], v[c], s1, s2, bc1, bc2)
+                elif self.weight_decay:
+                    self._decay(p[c], s1)
 
     def _update(self, p, g, m, v, s1, s2, bc1, bc2):
         """The update below, in place on p, m and v through s1 and s2:
@@ -238,6 +229,16 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+
+def _row_blocks(shape) -> list:
+    """AdamW's blocks of a tensor of `shape`: slices of as many whole
+    first-axis rows as fit in `ADAMW_CHUNK` elements, at least one row, or
+    `...` for a 0-d tensor."""
+    if not shape:
+        return [...]
+    rows = max(1, ADAMW_CHUNK // max(1, math.prod(shape[1:])))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
 def predict(

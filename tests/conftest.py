@@ -24,6 +24,7 @@ from prunelora import (  # noqa: E402
 )
 from prunelora import autograd as ag  # noqa: E402
 from prunelora.checkpoint import MAGIC  # noqa: E402
+from prunelora.model import PAD_SCORE  # noqa: E402
 
 # Example budgets of the property tests (tests/test_properties.py); tests
 # that set their own budget keep it. Tier-1 runs "tier1";
@@ -100,6 +101,63 @@ def attention_reference(q, k, v, bias, d_h, xi=None, heads=None, g=None):
     if one_query:
         out, dq = out[:, 0], dq[:, 0]
     return out if g is None else (out, dq, dk, dv, dxi)
+
+
+def write_config(path, **overrides):
+    """Write the toy prune_lora run config, with each override merged into
+    its section (or replacing it, for a non-dict value), to `path`."""
+    cfg = {
+        "seed": 0,
+        "model": {"num_layers": 4, "num_heads": 4, "hidden": 64,
+                  "ffn_dim": 256, "vocab_size": 16, "max_positions": 16,
+                  "num_classes": 2},
+        "task": {"kind": "parity", "seq_len": 8, "train_size": 96,
+                 "eval_size": 64},
+        "importance": {"sample_size": 64, "batch_size": 32, "epsilon": 1e-12},
+        "prune": {"keep_count": 12},
+        "rank": {"n_high": 2, "rank_high": 8, "rank_low": 4},
+        "train": {"regime": "prune_lora", "epochs": 2, "learning_rate": 2e-3,
+                  "weight_decay": 0.01, "batch_size": 32, "eval_every": 1},
+    }
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def reference_logits(weights, batch):
+    """The encoder classifier in numpy, every block over every position."""
+    cfg = weights.config
+    d_h = cfg.head_dim
+
+    def ln(v, gamma, beta):
+        mu = v.mean(-1, keepdims=True)
+        var = ((v - mu) ** 2).mean(-1, keepdims=True)
+        return (v - mu) / np.sqrt(var + cfg.layernorm_eps) * gamma.data + beta.data
+
+    ids, s = batch.token_ids, batch.token_ids.shape[1]
+    x = ln(weights.tok_emb.data[ids] + weights.pos_emb.data[:s]
+           + weights.type_emb.data[0], weights.emb_ln_gamma, weights.emb_ln_beta)
+    bias = ((1 - batch.attention_mask) * PAD_SCORE)[:, None, :]
+    for blk in weights.blocks:
+        q, k, v = (x @ w.data + b.data for w, b in
+                   ((blk.wq, blk.bq), (blk.wk, blk.bk), (blk.wv, blk.bv)))
+        heads = [np.zeros(x.shape[:-1] + (0,))]
+        for j in range(q.shape[-1] // d_h):
+            cols = slice(j * d_h, (j + 1) * d_h)
+            scores = q[..., cols] @ k[..., cols].swapaxes(-1, -2) / math.sqrt(d_h)
+            p = np.exp(scores + bias - (scores + bias).max(-1, keepdims=True))
+            heads.append(p / p.sum(-1, keepdims=True) @ v[..., cols])
+        mha = np.concatenate(heads, axis=-1) @ blk.wo.data + blk.bo.data
+        x = ln(x + mha, blk.ln1_gamma, blk.ln1_beta)
+        ff = (np.maximum(x @ blk.w_up.data + blk.b_up.data, 0.0) @ blk.w_down.data
+              + blk.b_down.data)
+        x = ln(x + ff, blk.ln2_gamma, blk.ln2_beta)
+    pooled = np.tanh(x[:, 0] @ weights.pooler_w.data + weights.pooler_b.data)
+    return pooled @ weights.classifier_w.data + weights.classifier_b.data
 
 
 def repack_checkpoint(path, edit_manifest):

@@ -39,6 +39,8 @@ from prunelora.cli import main
 from prunelora.importance import estimate_raw_importance, l2_normalize, minmax_normalize
 from prunelora.training import predict
 
+from conftest import write_config
+
 TOY = dict(num_layers=4, num_heads=4, hidden=64, ffn_dim=256,
            vocab_size=16, max_positions=16, num_classes=2)
 
@@ -56,27 +58,6 @@ def criterion(number, title):
             print(f"ACCEPTANCE {number:2d} PASS: {title}{extra}", flush=True)
         return run
     return wrap
-
-
-def write_config(path, **overrides):
-    cfg = {
-        "seed": 0,
-        "model": dict(TOY),
-        "task": {"kind": "parity", "seq_len": 8, "train_size": 96,
-                 "eval_size": 64},
-        "importance": {"sample_size": 64, "batch_size": 32},
-        "prune": {"keep_count": 12},
-        "rank": {"n_high": 2, "rank_high": 8, "rank_low": 4},
-        "train": {"regime": "prune_lora", "epochs": 2, "learning_rate": 2e-3,
-                  "weight_decay": 0.01, "batch_size": 32, "eval_every": 1},
-    }
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return path
 
 
 @criterion(1, "unpruned reference accounting returns exactly 109,482,240 in < 1 s")

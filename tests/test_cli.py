@@ -16,30 +16,7 @@ from prunelora.importance import (
 from prunelora.lora import RankPlan, load_adapters
 from prunelora.pruning import PrunePlan
 
-from conftest import repack_checkpoint
-
-
-def write_config(path, **overrides):
-    cfg = {
-        "seed": 0,
-        "model": {"num_layers": 4, "num_heads": 4, "hidden": 64,
-                  "ffn_dim": 256, "vocab_size": 16, "max_positions": 16,
-                  "num_classes": 2},
-        "task": {"kind": "parity", "seq_len": 8, "train_size": 96,
-                 "eval_size": 64},
-        "importance": {"sample_size": 64, "batch_size": 32, "epsilon": 1e-12},
-        "prune": {"keep_count": 12},
-        "rank": {"n_high": 2, "rank_high": 8, "rank_low": 4},
-        "train": {"regime": "prune_lora", "epochs": 2, "learning_rate": 2e-3,
-                  "weight_decay": 0.01, "batch_size": 32, "eval_every": 1},
-    }
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return path
+from conftest import repack_checkpoint, write_config
 
 
 @pytest.fixture

@@ -111,9 +111,22 @@ def test_token_batch_rejects_non_prefix_mask():
 
 def test_token_batch_rejects_mask_values_other_than_0_and_1():
     # 2, 1, 0 falls left to right, but 2 is not a token flag
-    for mask in ([[2, 1, 0]], [[1, -1, 0]], [[1, 1, 3]]):
+    for mask in ([[2, 1, 0]], [[1, -1, 0]], [[1, 1, 3]], [[1, 0.5, 0]]):
         with pytest.raises(ValueError, match="other than 0 and 1"):
             TokenBatch([[2, 3, 4]], mask, [0])
+
+
+def test_token_batch_rejects_ids_and_labels_that_are_not_whole_numbers():
+    # a cast to int64 would load these as ids [[2, 3, 4]] and label 0
+    for ids, labels in (([[2, 3.7, 4.2]], [0]), ([[2, 3, 4]], [0.9]),
+                        ([[2, np.nan, 4]], [0]), ([[2, 3, 4]], [np.inf])):
+        with pytest.raises(ValueError, match="not whole numbers"):
+            TokenBatch(ids, [[1, 1, 0]], labels)
+    # whole-valued floats load as int64
+    b = TokenBatch(np.full((1, 3), 2.0), [[1.0, 1.0, 0.0]], [1.0])
+    assert b.token_ids.dtype == b.attention_mask.dtype == b.labels.dtype == np.int64
+    assert b.token_ids.tolist() == [[2, 2, 2]] and b.labels.tolist() == [1]
+    assert b.token_count == 2
 
 
 def test_token_batch_rejects_a_row_without_tokens():

@@ -19,7 +19,7 @@ from prunelora import (
 from prunelora.autograd import Tensor
 from prunelora.model import HEAD_AXES, tensor_layout, tensor_shapes
 
-from conftest import finite_diff, rel_err
+from conftest import finite_diff, reference_logits, rel_err
 
 # pinned output of the toy model (vocab 16), seed 0, on the batch below
 GOLDEN_TOKEN_IDS = [
@@ -167,36 +167,8 @@ def test_zero_ffn_weights_reduce_to_bias_broadcast(toy_weights, parity_batch):
         blk.w_down.data[...] = 0.0
         blk.b_down.data[...] = rng.uniform(-0.1, 0.1, cfg.hidden)
 
-    # replay the encoder manually with the FFN replaced by its bias
-    ids, att = batch.token_ids, batch.attention_mask
-    s = ids.shape[1]
-    x = weights.tok_emb.data[ids] + weights.pos_emb.data[np.arange(s)] \
-        + weights.type_emb.data[0]
-
-    def ln(v, gamma, beta):
-        mu = v.mean(-1, keepdims=True)
-        var = ((v - mu) ** 2).mean(-1, keepdims=True)
-        return (v - mu) / np.sqrt(var + cfg.layernorm_eps) * gamma + beta
-
-    x = ln(x, weights.emb_ln_gamma.data, weights.emb_ln_beta.data)
-    bias = ((1 - att) * -1e9)[:, None, :]
-    d_h = cfg.head_dim
-    for blk in weights.blocks:
-        q = x @ blk.wq.data + blk.bq.data
-        k = x @ blk.wk.data + blk.bk.data
-        v = x @ blk.wv.data + blk.bv.data
-        heads = []
-        for i in range(cfg.num_heads):
-            sl = slice(i * d_h, (i + 1) * d_h)
-            scores = q[..., sl] @ k[..., sl].swapaxes(-1, -2) / np.sqrt(d_h) + bias
-            e = np.exp(scores - scores.max(-1, keepdims=True))
-            attn = e / e.sum(-1, keepdims=True)
-            heads.append(attn @ v[..., sl])
-        mha = np.concatenate(heads, axis=-1) @ blk.wo.data + blk.bo.data
-        x = ln(x + mha, blk.ln1_gamma.data, blk.ln1_beta.data)
-        x = ln(x + blk.b_down.data, blk.ln2_gamma.data, blk.ln2_beta.data)
-    pooled = np.tanh(x[:, 0, :] @ weights.pooler_w.data + weights.pooler_b.data)
-    expected = pooled @ weights.classifier_w.data + weights.classifier_b.data
+    # the reference runs the FFN, which the zeroed weights reduce to b_down
+    expected = reference_logits(weights, batch)
 
     assert np.abs(forward(weights, batch).data - expected).max() < 1e-10
 

@@ -15,7 +15,6 @@ the same ones. The example budget comes from the hypothesis profile
 `pytest --hypothesis-profile=ci`.
 """
 
-import math
 import tempfile
 from pathlib import Path
 
@@ -46,7 +45,13 @@ from prunelora.lora import adapter_shapes, load_adapters, save_adapters
 from prunelora.model import PAD_SCORE
 from prunelora.training import AdamW, predict
 
-from conftest import attention_reference, finite_diff, rel_err, weighted_sum
+from conftest import (
+    attention_reference,
+    finite_diff,
+    reference_logits,
+    rel_err,
+    weighted_sum,
+)
 
 CLS = 2
 VOCAB = 8
@@ -112,38 +117,6 @@ def sliced_cases(draw):
 def logits(weights, batch, **kw):
     with ag.no_grad():
         return forward(weights, batch, **kw).data
-
-
-def reference_logits(weights, batch):
-    """The encoder classifier in numpy, every block over every position."""
-    cfg = weights.config
-    d_h = cfg.head_dim
-
-    def ln(v, gamma, beta):
-        mu = v.mean(-1, keepdims=True)
-        var = ((v - mu) ** 2).mean(-1, keepdims=True)
-        return (v - mu) / np.sqrt(var + cfg.layernorm_eps) * gamma.data + beta.data
-
-    ids, s = batch.token_ids, batch.token_ids.shape[1]
-    x = ln(weights.tok_emb.data[ids] + weights.pos_emb.data[:s]
-           + weights.type_emb.data[0], weights.emb_ln_gamma, weights.emb_ln_beta)
-    bias = ((1 - batch.attention_mask) * PAD_SCORE)[:, None, :]
-    for blk in weights.blocks:
-        q, k, v = (x @ w.data + b.data for w, b in
-                   ((blk.wq, blk.bq), (blk.wk, blk.bk), (blk.wv, blk.bv)))
-        heads = [np.zeros(x.shape[:-1] + (0,))]
-        for j in range(q.shape[-1] // d_h):
-            cols = slice(j * d_h, (j + 1) * d_h)
-            scores = q[..., cols] @ k[..., cols].swapaxes(-1, -2) / math.sqrt(d_h)
-            p = np.exp(scores + bias - (scores + bias).max(-1, keepdims=True))
-            heads.append(p / p.sum(-1, keepdims=True) @ v[..., cols])
-        mha = np.concatenate(heads, axis=-1) @ blk.wo.data + blk.bo.data
-        x = ln(x + mha, blk.ln1_gamma, blk.ln1_beta)
-        ff = (np.maximum(x @ blk.w_up.data + blk.b_up.data, 0.0) @ blk.w_down.data
-              + blk.b_down.data)
-        x = ln(x + ff, blk.ln2_gamma, blk.ln2_beta)
-    pooled = np.tanh(x[:, 0] @ weights.pooler_w.data + weights.pooler_b.data)
-    return pooled @ weights.classifier_w.data + weights.classifier_b.data
 
 
 def adapters_for(weights, plan, seed, b_std=0.0):

@@ -134,7 +134,8 @@ def test_adamw_steps_match_the_reference_expression():
 
 @pytest.fixture
 def small_chunk(monkeypatch):
-    """AdamW.step streams tensors in chunks of 8 elements."""
+    """AdamW.step updates tensors in row blocks of at most 8 elements, or
+    one row where a row is wider."""
     monkeypatch.setattr(training, "ADAMW_CHUNK", 8)
     return 8
 
@@ -173,10 +174,10 @@ def check_adamw_against_reference(params, wd, grad_layout=None, steps=3):
 @pytest.mark.parametrize("wd", [0.0, 0.1])
 def test_adamw_chunked_step_matches_the_reference_expression(small_chunk, wd):
     rng = np.random.default_rng(4)
-    # below, at and above one chunk, a 3-D tensor over several chunks, and
-    # a scalar
+    # below, at and above one chunk, a 3-D tensor over several chunks, rows
+    # wider than a chunk, and a scalar
     shapes = [(small_chunk - 1,), (small_chunk,), (small_chunk + 5,),
-              (3, 4, 5), ()]
+              (3, 4, 5), (2, small_chunk + 3), ()]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     check_adamw_against_reference(params, wd)
 
@@ -232,6 +233,17 @@ def test_adamw_step_scratch_stays_within_three_chunks():
     opt = AdamW([p], lr=1e-3, weight_decay=0.01)
     # two scratch arrays the size of the tensor would make 16 chunk-sizes
     assert step_scratch_peak(opt) < 3 * training.ADAMW_CHUNK * 8
+
+
+def test_adamw_step_allocates_no_scratch(toy_config):
+    # one step over every toy tensor; scratch made per tensor would take 256 KiB
+    rng = np.random.default_rng(10)
+    weights = init_weights(toy_config, seed=0)
+    params = freeze_policy(weights, None, "full_finetune")
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape)
+    opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+    assert step_scratch_peak(opt) < 16 * 1024
 
 
 def test_adamw_row_tracked_step_scratch_stays_within_three_chunks():
@@ -316,14 +328,15 @@ def lookup(table, ids, step, rng):
     assert np.array_equal(np.flatnonzero(table.grad_rows), np.unique(ids))
 
 
-# 8-element chunks. 3-wide rows straddle chunks: chunk 2 (rows 5-7) gets
-# its first live row at step 3 through row 5, which starts in chunk 1;
-# chunks 3 and 4 hold live elements only of row 10, from step 4 on; chunk 5
-# never holds a live row. 1-wide rows: chunks 2-5 never do. 20-wide rows
-# span three or four chunks each.
+# 8-element chunks. 3-wide rows go two to a block: block 2 (rows 4-5) is
+# live from step 1 through row 4, block 5 (rows 10-11) from step 4 on,
+# blocks 3, 4, 6 and 7 never are. 1-wide rows go eight to a block: blocks
+# 2-5 never hold a live row. Rows 20 and 9 wide are wider than a chunk, so
+# each is a block of its own.
 @pytest.mark.parametrize("wd", [0.0, 0.1])
-@pytest.mark.parametrize("shape", [(16, 3), (48, 1), (12, 20)],
-                         ids=["straddling-rows", "narrow-rows", "wide-rows"])
+@pytest.mark.parametrize("shape", [(16, 3), (48, 1), (12, 20), (11, 9)],
+                         ids=["straddling-rows", "narrow-rows", "wide-rows",
+                              "rows-past-a-chunk"])
 def test_adamw_row_tracked_table_matches_the_reference_expression(small_chunk,
                                                                   wd, shape):
     opt = train_table(wd, lookup, shape)
