@@ -6,7 +6,10 @@ the 1 MAC = 2 FLOPs convention; per-element costs of non-matmul ops are
 fixed documented constants (softmax 5/element over the score matrices,
 layernorm 8/element, embedding 2 adds/element). The FLOPs follow the
 forward pass, whose last block computes only the CLS row past its K/V
-projections (`estimate_flops`).
+projections (`estimate_flops`). Every prune plan is read as one list of
+kept heads per block, a bare keep count as the placement
+`spread_keep_count` gives it, so parameters and FLOPs describe the same
+model.
 
 Externally reported figures for the bert-base-uncased setup these formulas
 mirror are kept here for side-by-side reporting; the closed-form counts
@@ -41,38 +44,48 @@ def per_head_params(config: ModelConfig) -> int:
     return 3 * (d * d_h + d_h) + d_h * d
 
 
-def _normalize_kept(config: ModelConfig, prune_plan):
-    """-> (kept_per_block list | None, total kept heads)."""
-    full = [config.num_heads] * config.num_layers
+def spread_keep_count(config: ModelConfig, keep_count: int) -> list[int]:
+    """Kept heads per block for a bare keep count: spread evenly, the
+    extras in the earliest blocks (10 over 4 blocks -> [3, 3, 2, 2])."""
+    base, extra = divmod(keep_count, config.num_layers)
+    return [base + (l < extra) for l in range(config.num_layers)]
+
+
+def _per_block(config: ModelConfig, values, what: str, low: int, high=None) -> list[int]:
+    """One int per block, each at least `low` and, if given, at most `high`."""
+    values = [int(v) for v in values]
+    if len(values) != config.num_layers:
+        raise ValueError(
+            f"{what} plan covers {len(values)} blocks, model has {config.num_layers}"
+        )
+    for l, v in enumerate(values):
+        if v < low or (high is not None and v > high):
+            span = f">= {low}" if high is None else f"[{low}, {high}]"
+            raise ValueError(f"block {l}: {what} {v}, want {span}")
+    return values
+
+
+def _normalize_kept(config: ModelConfig, prune_plan) -> list[int]:
+    """Kept heads per block for any prune plan: None (every head), a
+    PrunePlan, a kept-per-block list, or a bare keep count, which is
+    spread by `spread_keep_count`."""
     if prune_plan is None:
-        return full, config.num_layers * config.num_heads
+        return [config.num_heads] * config.num_layers
     if isinstance(prune_plan, PrunePlan):
-        kept = prune_plan.kept_per_block()
-        return kept, sum(kept)
-    if isinstance(prune_plan, int):
+        prune_plan = prune_plan.kept_per_block()
+    elif isinstance(prune_plan, int):
         total = config.num_layers * config.num_heads
         if not (0 <= prune_plan <= total):
             raise ValueError(f"keep_count {prune_plan} out of range [0, {total}]")
-        return None, prune_plan
-    kept = [int(k) for k in prune_plan]
-    if len(kept) != config.num_layers:
-        raise ValueError(
-            f"kept-per-block covers {len(kept)} blocks, model has "
-            f"{config.num_layers}"
-        )
-    return kept, sum(kept)
+        return spread_keep_count(config, prune_plan)
+    return _per_block(config, prune_plan, "kept heads", 0, config.num_heads)
 
 
 def _normalize_ranks(config: ModelConfig, rank_plan):
     if rank_plan is None:
         return None
     ranks = rank_plan.block_rank if isinstance(rank_plan, RankPlan) else rank_plan
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != config.num_layers:
-        raise ValueError(
-            f"rank plan covers {len(ranks)} blocks, model has {config.num_layers}"
-        )
-    return ranks
+    return _per_block(config, ranks, "rank", 1)
 
 
 @dataclass
@@ -95,16 +108,19 @@ def count_params(
     """Exact parameter accounting for (config, prune plan, rank plan).
 
     `prune_plan` may be a PrunePlan, a kept-heads-per-block list, a bare
-    keep count (per-block breakdown then collapses to aggregate lines, and
-    the FLOPs place the heads by `spread_keep_count`), or None.
+    keep count or None; components and FLOPs alike read a bare count as
+    the placement `spread_keep_count` gives it.
     `rank_plan` (RankPlan or per-block rank list) adds adapter counts and
     switches `trainable_params` to the adapter freeze policy: LayerNorms +
-    adapters + classifier. Without one, everything trains.
+    adapters + classifier. Without one, everything trains. Adapter counts
+    depend on where the kept heads sit, so a rank plan with a bare count
+    that prunes heads is refused.
     """
     d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
-    kept, kept_total = _normalize_kept(config, prune_plan)
+    kept = _normalize_kept(config, prune_plan)
     ranks = _normalize_ranks(config, rank_plan)
-    if ranks is not None and kept is None and kept_total != config.num_layers * config.num_heads:
+    if (ranks is not None and isinstance(prune_plan, int)
+            and prune_plan != config.num_layers * config.num_heads):
         raise ValueError(
             "adapter counts on a pruned model need the per-block plan, "
             "not a bare keep count"
@@ -116,19 +132,11 @@ def count_params(
         + config.type_vocab * d + 2 * d
     )
     ffn = d * d_f + d_f + d_f * d + d
-    if kept is not None:
-        for l, k in enumerate(kept):
-            w = k * d_h
-            components[f"block{l}.mha"] = 3 * (d * w + w) + w * d + d
-            components[f"block{l}.ffn"] = ffn
-            components[f"block{l}.layernorm"] = 4 * d
-    else:
-        w_total = kept_total * d_h
-        components["blocks.mha"] = (
-            3 * (d * w_total + w_total) + w_total * d + config.num_layers * d
-        )
-        components["blocks.ffn"] = config.num_layers * ffn
-        components["blocks.layernorm"] = config.num_layers * 4 * d
+    for l, k in enumerate(kept):
+        w = k * d_h
+        components[f"block{l}.mha"] = 3 * (d * w + w) + w * d + d
+        components[f"block{l}.ffn"] = ffn
+        components[f"block{l}.layernorm"] = 4 * d
     components["pooler"] = d * d + d
     components["classifier"] = (
         d * config.num_classes + config.num_classes if config.num_classes else 0
@@ -136,12 +144,8 @@ def count_params(
 
     adapter_params = 0
     if ranks is not None:
-        widths = [k * d_h for k in kept] if kept is not None \
-            else [d] * config.num_layers
-        # per block: Q/K/V are in=d,out=w; O is in=w,out=d -> 4*r*(d+w)
-        adapter_params = sum(
-            4 * r * (d + w) for r, w in zip(ranks, widths)
-        )
+        # per block: Q/K/V are in=d,out=k*d_h; O is in=k*d_h,out=d
+        adapter_params = sum(4 * r * (d + k * d_h) for r, k in zip(ranks, kept))
         components["adapters"] = adapter_params
 
     total = sum(components.values())
@@ -151,7 +155,7 @@ def count_params(
     else:
         trainable = total
 
-    flops = estimate_flops(config, prune_plan, seq_len)
+    flops = estimate_flops(config, kept, seq_len)
     return ParamReport(
         total_params=total,
         trainable_params=trainable,
@@ -184,13 +188,6 @@ class FlopsReport:
                 + self.softmax_flops + self.other_flops)
 
 
-def spread_keep_count(config: ModelConfig, keep_count: int) -> list[int]:
-    """Kept heads per block for a bare keep count: spread evenly, the
-    extras in the earliest blocks (10 over 4 blocks -> [3, 3, 2, 2])."""
-    base, extra = divmod(keep_count, config.num_layers)
-    return [base + (l < extra) for l in range(config.num_layers)]
-
-
 def estimate_flops(config: ModelConfig, prune_plan=None, seq_len: int = 128) -> FlopsReport:
     """Analytic single-example forward cost at the given sequence length.
 
@@ -214,9 +211,7 @@ def estimate_flops(config: ModelConfig, prune_plan=None, seq_len: int = 128) -> 
         raise ValueError("seq_len must be >= 1")
     d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
     s, num_layers, classes = seq_len, config.num_layers, config.num_classes
-    kept, kept_total = _normalize_kept(config, prune_plan)
-    if kept is None:
-        kept = spread_keep_count(config, kept_total)
+    kept = _normalize_kept(config, prune_plan)
 
     mha_macs = ffn_macs = score_cells = ln_cells = other = 0
     for l, heads in enumerate(kept):

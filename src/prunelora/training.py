@@ -70,6 +70,15 @@ class TrainConfig(Record):
         if self.importance_sample_size < 1:
             raise ValueError("importance_sample_size must be >= 1, "
                              f"got {self.importance_sample_size}")
+        if self.keep_count is not None and self.keep_count < 0:
+            raise ValueError(f"keep_count must be >= 0, got {self.keep_count}")
+        if self.n_high < 0:
+            raise ValueError(f"n_high must be >= 0, got {self.n_high}")
+        if self.rank_low < 1:
+            raise ValueError(f"rank_low must be >= 1, got {self.rank_low}")
+        if self.rank_high < self.rank_low:
+            raise ValueError(f"rank_high must be >= rank_low {self.rank_low}, "
+                             f"got {self.rank_high}")
 
 
 @dataclass

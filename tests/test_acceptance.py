@@ -36,6 +36,7 @@ from prunelora.accounting import (
 )
 from prunelora.autograd import Tensor
 from prunelora.cli import main
+from prunelora.data import batches
 from prunelora.importance import estimate_raw_importance, l2_normalize, minmax_normalize
 from prunelora.training import predict
 
@@ -335,6 +336,29 @@ def test_criterion_11_training_time_ordering():
     seconds = {k: float(np.mean(v[1:])) for k, v in epoch_seconds.items()}  # drop warmup
     assert seconds["prune_lora"] <= seconds["lora"] <= seconds["full_finetune"]
     return ", ".join(f"{k} {v:.2f}s" for k, v in seconds.items())
+
+
+@criterion(11, "forward MACs of one training batch: prune_lora < lora "
+               "(the deterministic part of the wall-clock ordering)")
+def test_criterion_11_forward_macs_ordering():
+    cfg = ModelConfig(**TOY, init_std=0.1)
+    spec = SyntheticTaskSpec(kind="majority-token", seq_len=9, vocab_size=16,
+                             seed=0, train_size=512, eval_size=64)
+    train_data, eval_ = generate(spec)
+    first = next(batches(train_data, 32))
+    macs = {}
+    for regime in ("lora", "prune_lora"):
+        tc = TrainConfig(regime=regime, epochs=0, learning_rate=5e-4,
+                         batch_size=32, seed=0,
+                         keep_count=12 if regime == "prune_lora" else None,
+                         n_high=2)
+        _, art = run_regime(cfg, tc, train_data, eval_, log=None)
+        with ag.no_grad(), ag.count_macs() as counter:
+            forward(art.weights, first, adapters=art.adapters)
+        macs[regime] = counter.macs
+    assert macs["prune_lora"] < macs["lora"]
+    return (f"lora {macs['lora']:,}, prune_lora {macs['prune_lora']:,} "
+            f"({macs['prune_lora'] / macs['lora']:.4f})")
 
 
 @criterion(12, "pipeline commands are byte-deterministic given the config")

@@ -105,6 +105,20 @@ def test_bare_keep_count_with_ranks_needs_distribution():
         count_params(cfg, prune_plan=100, rank_plan=[4] * 12)
 
 
+@pytest.mark.parametrize("plan, ranks, message", [
+    ([9, 9, 9, 9], None, "block 0: kept heads 9"),
+    ([4, 4, 4, -1], None, "block 3: kept heads -1"),
+    (None, [-3, 4, 4, 4], "block 0: rank -3"),
+    ([2, 2, 2, 2], [4, 4, 0, 4], "block 2: rank 0"),
+])
+def test_out_of_range_plan_entries_name_the_block(plan, ranks, message):
+    with pytest.raises(ValueError, match=message):
+        count_params(ModelConfig(), prune_plan=plan, rank_plan=ranks)
+    if ranks is None:
+        with pytest.raises(ValueError, match=message):
+            estimate_flops(ModelConfig(), plan)
+
+
 def test_flops_match_instrumented_forward(toy_config, toy_weights):
     spec = SyntheticTaskSpec(kind="parity", seq_len=8, vocab_size=16, seed=0,
                              train_size=2, eval_size=2)
@@ -174,6 +188,10 @@ def test_bare_keep_count_spreads_heads_from_the_first_block(toy_config):
     for keep in (0, 5, 10, 16):
         assert estimate_flops(toy_config, keep, 16) == estimate_flops(
             toy_config, spread_keep_count(toy_config, keep), 16)
+    # parameters read a bare count as the same placement as the FLOPs
+    for keep in range(17):
+        assert count_params(toy_config, keep, seq_len=16) == count_params(
+            toy_config, spread_keep_count(toy_config, keep), seq_len=16)
     # where the kept heads sit changes the count: the last block's are cheaper
     assert (estimate_flops(toy_config, [2, 2, 3, 3], 16).total_flops
             < estimate_flops(toy_config, 10, 16).total_flops)

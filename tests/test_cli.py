@@ -721,11 +721,15 @@ OUT_OF_RANGE = {
                                   "importance_sample_size"),
     "importance.sample_size 0": ("importance.sample_size", 0,
                                  "importance_sample_size"),
+    "prune.keep_count -1": ("prune.keep_count", -1, "keep_count"),
+    "rank.n_high -1": ("rank.n_high", -1, "n_high"),
+    "rank.rank_low 0": ("rank.rank_low", 0, "rank_low"),
+    "rank.rank_high 3": ("rank.rank_high", 3, "rank_high"),
 }
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
-@pytest.mark.parametrize("command", ["train", "importance"])
+@pytest.mark.parametrize("command", ["train", "importance", "report"])
 def test_out_of_range_train_knob_exits_2_and_names_it(tmp_path, capsys, case,
                                                       command):
     named, value, field = OUT_OF_RANGE[case]

@@ -565,7 +565,9 @@ def test_invalid_train_config_rejected():
     for field, bad in (("learning_rate", -0.5), ("learning_rate", 0.0),
                        ("learning_rate", float("nan")), ("weight_decay", -3.0),
                        ("importance_sample_size", 0),
-                       ("importance_sample_size", -3)):
+                       ("importance_sample_size", -3), ("keep_count", -1),
+                       ("n_high", -1), ("rank_low", 0), ("rank_high", 3)):
         with pytest.raises(ValueError, match=f"{field} must be"):
             TrainConfig(**{field: bad})
-    TrainConfig(weight_decay=0.0, importance_sample_size=1)
+    TrainConfig(weight_decay=0.0, importance_sample_size=1, keep_count=0,
+                n_high=0, rank_low=1, rank_high=1)
