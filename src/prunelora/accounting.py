@@ -18,6 +18,7 @@ intentionally differ where the slicing arithmetic says so.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .lora import RankPlan
@@ -51,33 +52,57 @@ def spread_keep_count(config: ModelConfig, keep_count: int) -> list[int]:
     return [base + (l < extra) for l in range(config.num_layers)]
 
 
+def _whole(value) -> int | None:
+    """`value` as an int if it is a whole number, else None (2.7, NaN, "3")."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
+def _keep_count(prune_plan) -> int | None:
+    """A bare keep count of any integer type (`operator.index`), else None."""
+    try:
+        return operator.index(prune_plan)
+    except TypeError:
+        return None
+
+
 def _per_block(config: ModelConfig, values, what: str, low: int, high=None) -> list[int]:
-    """One int per block, each at least `low` and, if given, at most `high`."""
-    values = [int(v) for v in values]
+    """One int per block, each a whole number at least `low` and, if
+    given, at most `high`."""
+    values = list(values)
     if len(values) != config.num_layers:
         raise ValueError(
             f"{what} plan covers {len(values)} blocks, model has {config.num_layers}"
         )
+    out = []
     for l, v in enumerate(values):
-        if v < low or (high is not None and v > high):
+        whole = _whole(v)
+        if whole is None:
+            raise ValueError(f"block {l}: {what} {v!r}, want a whole number")
+        if whole < low or (high is not None and whole > high):
             span = f">= {low}" if high is None else f"[{low}, {high}]"
             raise ValueError(f"block {l}: {what} {v}, want {span}")
-    return values
+        out.append(whole)
+    return out
 
 
 def _normalize_kept(config: ModelConfig, prune_plan) -> list[int]:
     """Kept heads per block for any prune plan: None (every head), a
-    PrunePlan, a kept-per-block list, or a bare keep count, which is
-    spread by `spread_keep_count`."""
+    PrunePlan, a kept-per-block list, or a bare keep count of any integer
+    type, which is spread by `spread_keep_count`."""
     if prune_plan is None:
         return [config.num_heads] * config.num_layers
     if isinstance(prune_plan, PrunePlan):
         prune_plan = prune_plan.kept_per_block()
-    elif isinstance(prune_plan, int):
+    keep = _keep_count(prune_plan)
+    if keep is not None:
         total = config.num_layers * config.num_heads
-        if not (0 <= prune_plan <= total):
-            raise ValueError(f"keep_count {prune_plan} out of range [0, {total}]")
-        return spread_keep_count(config, prune_plan)
+        if not (0 <= keep <= total):
+            raise ValueError(f"keep_count {keep} out of range [0, {total}]")
+        return spread_keep_count(config, keep)
     return _per_block(config, prune_plan, "kept heads", 0, config.num_heads)
 
 
@@ -119,8 +144,9 @@ def count_params(
     d, d_f, d_h = config.hidden, config.ffn_dim, config.head_dim
     kept = _normalize_kept(config, prune_plan)
     ranks = _normalize_ranks(config, rank_plan)
-    if (ranks is not None and isinstance(prune_plan, int)
-            and prune_plan != config.num_layers * config.num_heads):
+    keep = _keep_count(prune_plan)
+    if (ranks is not None and keep is not None
+            and keep != config.num_layers * config.num_heads):
         raise ValueError(
             "adapter counts on a pruned model need the per-block plan, "
             "not a bare keep count"

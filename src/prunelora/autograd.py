@@ -45,8 +45,11 @@ width 0, so a block that lost every head needs no op of its own. The
 other ops are the ones the model runs between them: `relu`, `tanh`,
 `layernorm` (over a sum of terms: each residual sum is part of the
 LayerNorm node that reads it), `embedding`, `first_token` (the CLS-row
-select at the last block's input) and `cross_entropy`. `count_macs` counts
-the products of `linear` and `attention`.
+select at the last block's input) and `cross_entropy`. `layernorm` runs
+on one buffer: its row mean and variance are a GEMV and an `einsum`, it
+centres and scales the summed terms in place into `xhat`, and its backward
+reuses that buffer and hands its `dx` over as it is to one term.
+`count_macs` counts the products of `linear` and `attention`.
 """
 
 from __future__ import annotations
@@ -242,43 +245,77 @@ def tanh(x: Tensor) -> Tensor:
 def layernorm(terms, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Standardize the last axis of the sum of `terms` (a tuple of tensors,
     added left to right with numpy broadcasting), then scale/shift by
-    gamma/beta. Backward computes the sum's gradient once; each trainable
-    term gets it summed over the axes the term was broadcast along."""
+    gamma/beta.
+
+    One buffer carries the whole chain: the terms are summed into a fresh
+    array of their broadcast shape, centred on the row mean (a GEMV against
+    a `1/d` vector) and scaled by `1/sqrt(var + eps)` (the variance an
+    `einsum` row dot product), all in place. The buffer is then `xhat`,
+    which the closure keeps; the output `xhat * gamma + beta` is the one
+    other array. No term's `.data` is written.
+
+    Backward reduces `dgamma` and `dbeta` the same way, builds `dx = g *
+    gamma` as its only new full-size array and finishes the standardization
+    gradient in place, overwriting `xhat` (the node is consumed before its
+    closure runs). The last trainable term of the full shape takes `dx` as
+    it is; any other trainable term gets a copy, or `dx` summed over the
+    axes it was broadcast along.
+    """
     if eps <= 0:
         raise ValueError("layernorm: eps must be positive")
     terms = tuple(_as_tensor(t) for t in terms)
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-    x = sum((t.data for t in terms[1:]), terms[0].data)
-    d = x.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+    shape = np.broadcast_shapes(*(t.data.shape for t in terms))
+    d = shape[-1]
+    if d < 1 or gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(
-            f"layernorm: feature size mismatch: x {x.shape}, "
+            f"layernorm: feature size mismatch: x {shape}, "
             f"gamma {gamma.data.shape}, beta {beta.data.shape}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    x = np.empty(shape)
+    if len(terms) == 1:
+        x[...] = terms[0].data
+    else:
+        np.add(terms[0].data, terms[1].data, out=x)
+    for t in terms[2:]:
+        x += t.data
+    # explicit row count: a (-1, d) reshape is ambiguous for empty arrays
+    rows = math.prod(shape[:-1])
+    x2 = x.reshape(rows, d)  # a view: x is a fresh C-ordered array
+    mean = np.full(d, 1.0 / d)
+    x2 -= (x2 @ mean)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ri,ri->r", x2, x2) / d + eps)
+    x2 *= inv[:, None]  # x is now xhat
+    out = x * gamma.data
+    out += beta.data
 
     def bwd(g):
+        g2 = g.reshape(rows, d)
         if gamma.requires_grad:
-            gamma.accumulate_grad(_reduce_to(g * xhat, gamma.data.shape),
-                                  fresh=True)
+            gamma.accumulate_grad(np.einsum("ri,ri->i", g2, x2), fresh=True)
         if beta.requires_grad:
-            beta.accumulate_grad(_reduce_to(g, beta.data.shape))
-        if any(t.requires_grad for t in terms):
-            dxhat = g * gamma.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            for t in terms:
-                if t.requires_grad:
-                    t.accumulate_grad(_reduce_to(dx, t.data.shape))
+            beta.accumulate_grad(np.ones(rows) @ g2, fresh=True)
+        if not any(t.requires_grad for t in terms):
+            return
+        dx = g2 * gamma.data
+        a = dx @ mean
+        c = np.einsum("ri,ri->r", dx, x2) / d
+        np.multiply(x2, c[:, None], out=x2)  # xhat is not needed after this
+        dx -= x2
+        dx -= a[:, None]
+        dx *= inv[:, None]
+        dx = dx.reshape(shape)
+        last = max((i for i, t in enumerate(terms)
+                    if t.requires_grad and t.data.shape == shape), default=None)
+        for i, t in enumerate(terms):
+            if not t.requires_grad:
+                continue
+            if t.data.shape == shape:
+                t.accumulate_grad(dx, fresh=i == last)
+            else:
+                t.accumulate_grad(_reduce_to(dx, t.data.shape), fresh=True)
 
-    return _from_op(xhat * gamma.data + beta.data, (*terms, gamma, beta), bwd)
+    return _from_op(out, (*terms, gamma, beta), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -110,6 +110,9 @@ def test_bare_keep_count_with_ranks_needs_distribution():
     ([4, 4, 4, -1], None, "block 3: kept heads -1"),
     (None, [-3, 4, 4, 4], "block 0: rank -3"),
     ([2, 2, 2, 2], [4, 4, 0, 4], "block 2: rank 0"),
+    ([2.7, 4, 4, 4], None, "block 0: kept heads 2.7, want a whole number"),
+    ([4, 4, 4, float("nan")], None, "block 3: kept heads nan"),
+    (None, [4, 4, 1.5, 4], "block 2: rank 1.5, want a whole number"),
 ])
 def test_out_of_range_plan_entries_name_the_block(plan, ranks, message):
     with pytest.raises(ValueError, match=message):
@@ -117,6 +120,22 @@ def test_out_of_range_plan_entries_name_the_block(plan, ranks, message):
     if ranks is None:
         with pytest.raises(ValueError, match=message):
             estimate_flops(ModelConfig(), plan)
+
+
+def test_integer_types_and_whole_floats_read_as_ints():
+    cfg = ModelConfig()
+    want = count_params(cfg, [2, 4, 4, 4], rank_plan=[8, 8, 4, 4])
+    for plan, ranks in (([2.0, 4, 4, 4], [8.0, 8, 4, 4]),
+                        (np.array([2, 4, 4, 4]), np.array([8, 8, 4, 4]))):
+        assert count_params(cfg, plan, rank_plan=ranks) == want
+    # a bare keep count of any integer type is spread like an int
+    for keep in (np.int64(12), np.int32(12), np.uint8(12)):
+        assert count_params(cfg, keep) == count_params(cfg, 12)
+        assert estimate_flops(cfg, keep, 16) == estimate_flops(cfg, 12, 16)
+    with pytest.raises(ValueError, match="per-block"):
+        count_params(cfg, np.int64(12), rank_plan=[4] * 4)
+    with pytest.raises(ValueError, match="keep_count 17 out of range"):
+        count_params(cfg, np.int64(17))
 
 
 def test_flops_match_instrumented_forward(toy_config, toy_weights):

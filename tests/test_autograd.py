@@ -237,6 +237,55 @@ def test_layernorm_feature_mismatch():
                      Tensor(np.zeros(3)))
 
 
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_grad", "backward"])
+@pytest.mark.parametrize("layout", ["one", "twice", "small-first"])
+def test_layernorm_leaves_its_terms_untouched(layout, recorded):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.uniform(-1, 1, (3, 2, 4)), requires_grad=True)
+    row = Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
+    terms = {"one": (x,), "twice": (x, x), "small-first": (row, x)}[layout]
+    gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 4), requires_grad=True)
+    leaves = (x, row, gamma, beta)
+    before = [t.data.tobytes() for t in leaves]
+    if recorded:
+        out = ag.layernorm(terms, gamma, beta)
+        ag.backward(weighted_sum(out, rng.uniform(-1, 1, (3, 2, 4))))
+    else:
+        with ag.no_grad():
+            out = ag.layernorm(terms, gamma, beta)
+    assert out.data.shape == (3, 2, 4)
+    assert [t.data.tobytes() for t in leaves] == before
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_layernorm_allocates_few_sum_sized_buffers():
+    # two trainable (32, 10, 64) terms: forward allocates the normalized
+    # sum and the output, backward dx and a copy of it for one term
+    rng = np.random.default_rng(14)
+    shape = (32, 10, 64)
+    terms = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+             for _ in range(2)]
+    gamma, beta = Tensor(np.ones(64)), Tensor(np.zeros(64))
+    g = rng.uniform(-1, 1, shape)
+    out, forward_peak = traced_peak(lambda: ag.layernorm(terms, gamma, beta))
+    # the node's closure alone, on an upstream gradient allocated outside
+    _, backward_peak = traced_peak(lambda: out._backward(g))
+    assert forward_peak < 3 * g.nbytes
+    assert backward_peak < 3 * g.nbytes
+    assert not np.shares_memory(terms[0].grad, terms[1].grad)
+
+
 def test_layernorm_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
@@ -597,12 +646,7 @@ def test_backward_frees_the_graph_as_it_runs():
     x = Tensor(np.ones((128, 128)), requires_grad=True)
     weighting = np.random.default_rng(12).uniform(-1, 1, (128, 128))
     loss = projection_chain_loss(x, weighting)
-    tracemalloc.start()
-    try:
-        ag.backward(loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ag.backward(loss))
     # holding the whole graph would reach about 42 array-sizes
     assert peak < 8 * x.data.nbytes
     assert np.array_equal(x.grad, weighting)
@@ -611,12 +655,7 @@ def test_backward_frees_the_graph_as_it_runs():
 def test_backward_hands_fresh_gradients_over_without_a_copy():
     x = Tensor(np.ones((128, 128)), requires_grad=True)
     loss = projection_chain_loss(x, np.ones((128, 128)))
-    tracemalloc.start()
-    try:
-        ag.backward(loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ag.backward(loss))
     # each step holds the upstream gradient and the product it hands on;
     # a copy of that product would make three array-sizes
     assert peak < 2.5 * x.data.nbytes
