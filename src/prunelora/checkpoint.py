@@ -8,7 +8,8 @@ produce identical bytes.
 
 Each tensor is copied once between its array and the file: the writer
 writes every array from its own buffer, and the reader reads every tensor
-straight into a fresh array of its own. Asked for a digest, both hash the
+straight into a fresh array of its own, or into the place a loader gives
+it (a model's or adapters' arena). Asked for a digest, both hash the
 bytes in the same pass, so the sha256 of a file costs no second read.
 """
 
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import NonFiniteError
 from .schema import field_types, parse_section
 
 MAGIC = b"PLCK"
@@ -114,7 +115,7 @@ def _read_exact(f, buf) -> int:
     return got
 
 
-def read_checkpoint(path, digest: bool = False):
+def read_checkpoint(path, digest: bool = False, into=None):
     """Return (manifest, {name: ndarray}), plus the file's sha256 hex
     digest as a third item when `digest` is set.
 
@@ -124,6 +125,11 @@ def read_checkpoint(path, digest: bool = False):
     reshape error, and never allocates more than the file holds. Each
     tensor is then read into its own array: writable, C-contiguous and
     shared with nothing (optimizers update loaded tensors in place).
+
+    `into(manifest, shapes)`, if given, is called once the entries are
+    checked, with every entry's shape by name; it may raise
+    CheckpointError, and returns the C-contiguous float64 array to read
+    each tensor into (a model's or adapters' places, see `load_model`).
 
     The digest hashes the bytes as they are read when the entries lie back
     to back in manifest order up to the end of the file, as the writer
@@ -160,11 +166,20 @@ def read_checkpoint(path, digest: bool = False):
         sha = (hashlib.sha256(head + payload)
                if digest and end == file_size else None)
         arrays = {}
+        places = (into(manifest, {name: tuple(shape) for name, shape, *_ in entries})
+                  if into is not None else None)
         for name, shape, offset, size in entries:
-            try:
-                arr = np.empty(shape, dtype="<f8")
-            except ValueError as e:  # more dimensions than numpy supports
-                raise CheckpointError(f"{path}: {name}: {e}") from e
+            if places is None:
+                try:
+                    arr = np.empty(shape, dtype="<f8")
+                except ValueError as e:  # more dimensions than numpy supports
+                    raise CheckpointError(f"{path}: {name}: {e}") from e
+            else:
+                # `into` checked each name's last shape: a mismatch here
+                # is an earlier entry of the same name
+                arr = places[name]
+                if arr.shape != tuple(shape) or name in arrays:
+                    raise CheckpointError(f"{path}: {name}: listed twice")
             f.seek(base + offset)
             raw = _raw(arr)
             if _read_exact(f, raw) != size:
@@ -189,20 +204,27 @@ def file_digest(path) -> str:
     return sha.hexdigest()
 
 
-def check_tensors(path, arrays: dict, shapes: dict) -> None:
-    """Raise CheckpointError unless `arrays` holds exactly the tensors
-    named in `shapes` (name -> shape tuple), each of its shape."""
-    if arrays.keys() != shapes.keys():
-        missing = sorted(shapes.keys() - arrays.keys())
-        extra = sorted(arrays.keys() - shapes.keys())
+def check_tensors(path, found: dict, shapes: dict) -> None:
+    """Raise CheckpointError unless `found` (name -> shape tuple) names
+    exactly the tensors of `shapes`, each of its shape."""
+    if found.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - found.keys())
+        extra = sorted(found.keys() - shapes.keys())
         raise CheckpointError(
             f"{path}: tensor set mismatch (missing {missing}, unexpected {extra})"
         )
     for name, shape in shapes.items():
-        if arrays[name].shape != shape:
+        if found[name] != shape:
             raise CheckpointError(
-                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
+                f"{path}: {name} has shape {found[name]}, expected {shape}"
             )
+
+
+def check_finite(tensors) -> None:
+    """Raise NonFiniteError if a tensor read from a file holds NaN or Inf."""
+    for t in tensors:
+        if not np.all(np.isfinite(t.data)):
+            raise NonFiniteError("tensor rejects non-finite values (NaN/Inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -227,30 +249,38 @@ def save_model(path, weights, merged_adapters: bool = False,
 
 def load_model(path, digest: bool = False):
     """Load a model checkpoint; returns (TransformerWeights, manifest), plus
-    the file's sha256 hex digest as a third item when `digest` is set."""
+    the file's sha256 hex digest as a third item when `digest` is set.
+
+    The manifest is checked before any tensor is read, and each tensor is
+    read straight into its place in `TransformerWeights.empty`."""
     from .model import ModelConfig, TransformerWeights, tensor_shapes
 
-    manifest, arrays, *sha = read_checkpoint(path, digest=digest)
-    if manifest.get("kind") != "model":
-        raise CheckpointError(f"{path}: expected a model checkpoint")
-    try:
-        config = ModelConfig.from_dict(manifest["config"], "config")
-        header = parse_section(
-            {key: manifest[key] for key in ("head_index_map", "merged_adapters")},
-            "model manifest",
-            field_types(TransformerWeights) | {"merged_adapters": "bool"})
-    except KeyError as e:
-        raise CheckpointError(f"{path}: manifest has no {e}") from e
-    except ValueError as e:
-        raise CheckpointError(f"{path}: bad model manifest: {e}") from e
-    head_index_map = header["head_index_map"]
-    if len(head_index_map) != config.num_layers:
-        raise CheckpointError(f"{path}: head_index_map has wrong number of blocks")
-    for row in head_index_map:
-        if row != sorted(set(row)) or not set(row) <= set(range(config.num_heads)):
-            raise CheckpointError(f"{path}: bad head_index_map row {row}")
+    weights = None
 
-    check_tensors(path, arrays, tensor_shapes(config, head_index_map))
-    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
-    weights = TransformerWeights.from_named(config, tensors, head_index_map)
+    def into(manifest, found):
+        nonlocal weights
+        if manifest.get("kind") != "model":
+            raise CheckpointError(f"{path}: expected a model checkpoint")
+        try:
+            config = ModelConfig.from_dict(manifest["config"], "config")
+            header = parse_section(
+                {key: manifest[key] for key in ("head_index_map", "merged_adapters")},
+                "model manifest",
+                field_types(TransformerWeights) | {"merged_adapters": "bool"})
+        except KeyError as e:
+            raise CheckpointError(f"{path}: manifest has no {e}") from e
+        except ValueError as e:
+            raise CheckpointError(f"{path}: bad model manifest: {e}") from e
+        head_index_map = header["head_index_map"]
+        if len(head_index_map) != config.num_layers:
+            raise CheckpointError(f"{path}: head_index_map has wrong number of blocks")
+        for row in head_index_map:
+            if row != sorted(set(row)) or not set(row) <= set(range(config.num_heads)):
+                raise CheckpointError(f"{path}: bad head_index_map row {row}")
+        check_tensors(path, found, tensor_shapes(config, head_index_map))
+        weights = TransformerWeights.empty(config, head_index_map)
+        return {name: t.data for name, t in weights.named_tensors()}
+
+    manifest, _, *sha = read_checkpoint(path, digest=digest, into=into)
+    check_finite(weights.all_tensors())
     return (weights, manifest, *sha)

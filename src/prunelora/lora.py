@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, place
 from .checkpoint import (
     CheckpointError,
+    check_finite,
     check_tensors,
     read_checkpoint,
     write_checkpoint,
@@ -150,15 +151,19 @@ def init_adapters(
 
     Shapes follow `adapter_shapes`, so adapters created for a sliced
     model fit that model only. The A matrices are drawn in checkpoint
-    order.
+    order. Every adapter tensor below `autograd.ARENA_LIMIT` elements
+    lives in one arena (`autograd.place`).
     """
     rng = np.random.default_rng(seed)
-    tensors = {
-        name: Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=shape)
-                     if name.endswith(".a") else np.zeros(shape),
-                     requires_grad=True)
-        for name, shape in adapter_shapes(weights, plan).items()
-    }
+    tensors = place(adapter_shapes(weights, plan))
+    for name, t in tensors.items():
+        if name.endswith(".a"):
+            # the bits of rng.normal(0, ADAPTER_INIT_STD), drawn in place
+            rng.standard_normal(out=t.data)
+            t.data *= ADAPTER_INIT_STD
+        else:
+            t.data.fill(0.0)
+        t.requires_grad = True
     return LoraAdapters.from_named(tensors, plan, seed, scaling)
 
 
@@ -181,8 +186,9 @@ def merge_adapters(weights: TransformerWeights, adapters: LoraAdapters) -> Trans
         targets = adapters.for_block(l)
         for t, attr in TARGETS.items():
             a, b = targets[t]
-            merged = merge(getattr(blk, attr), a, b, adapters.scaling)
-            setattr(blk, attr, merged)
+            w = getattr(blk, attr)
+            # written into the clone's tensor, which keeps its arena place
+            w.data[...] = merge(w, a, b, adapters.scaling).data
     return out
 
 
@@ -217,17 +223,25 @@ def load_adapters(path, weights: TransformerWeights) -> LoraAdapters:
     """Load adapters made for `weights`: the file must hold exactly the
     tensors `adapter_shapes` declares for that model and the file's rank
     plan, else CheckpointError."""
-    manifest, arrays = read_checkpoint(path)
-    if manifest.get("kind") != "adapters":
-        raise CheckpointError(f"{path}: expected an adapter checkpoint")
-    try:
-        plan = RankPlan.from_dict(manifest["rank_plan"], "rank_plan")
-        header = parse_section({key: manifest[key] for key in ("seed", "scaling")},
-                               "adapter manifest", field_types(LoraAdapters))
-        scaling = float(header["scaling"])
-        shapes = adapter_shapes(weights, plan)
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
-    check_tensors(path, arrays, shapes)
-    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
-    return LoraAdapters.from_named(tensors, plan, header["seed"], scaling)
+    adapters = None
+
+    def into(manifest, found):
+        nonlocal adapters
+        if manifest.get("kind") != "adapters":
+            raise CheckpointError(f"{path}: expected an adapter checkpoint")
+        try:
+            plan = RankPlan.from_dict(manifest["rank_plan"], "rank_plan")
+            header = parse_section(
+                {key: manifest[key] for key in ("seed", "scaling")},
+                "adapter manifest", field_types(LoraAdapters))
+            shapes = adapter_shapes(weights, plan)
+        except (KeyError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad adapter manifest: {e!r}") from e
+        check_tensors(path, found, shapes)
+        adapters = LoraAdapters.from_named(place(shapes), plan, header["seed"],
+                                           float(header["scaling"]))
+        return {name: t.data for name, t in adapters.named_tensors()}
+
+    read_checkpoint(path, into=into)
+    check_finite(adapters.all_tensors())
+    return adapters

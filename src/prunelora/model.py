@@ -28,7 +28,10 @@ A block that lost every head holds `(hidden, 0)` Q/K/V and `(0, hidden)`
 output tensors and runs the same path: its projections and attention are
 zero wide, so its MHA output is the output bias.
 Each tensor's shape, init and head axis is declared once, in BLOCK_LAYOUT
-and the two tables around it.
+and the two tables around it. The tensors of each trainable group
+(`tensor_group`) below `autograd.ARENA_LIMIT` elements are views of one
+arena: `TransformerWeights.empty` places them, and init, clone, load and
+slice write each element there once.
 """
 
 from __future__ import annotations
@@ -151,6 +154,16 @@ _HEAD_TENSORS = {
 }
 
 
+def tensor_group(name: str) -> str:
+    """The trainable group of a model tensor: "layernorm", "classifier" or
+    "base". A freeze policy trains or freezes each group as a whole
+    (`training.freeze_policy`), so each group's small tensors share an
+    arena."""
+    if name.split(".")[1].startswith("ln"):
+        return "layernorm"
+    return "classifier" if name.startswith("classifier.") else "base"
+
+
 def _checkpoint_order(num_layers: int):
     """(name, block index or None, attribute, Part) for every tensor slot."""
     for name, (attr, part) in _EMBEDDING_TENSORS.items():
@@ -236,7 +249,7 @@ class TransformerWeights:
 
     def layernorm_tensors(self) -> list[Tensor]:
         return [t for name, t in self.named_tensors()
-                if name.split(".")[1].startswith("ln")]
+                if tensor_group(name) == "layernorm"]
 
     def set_requires_grad(self, flag: bool):
         for t in self.all_tensors():
@@ -245,13 +258,25 @@ class TransformerWeights:
     def num_params(self) -> int:
         return sum(t.data.size for t in self.all_tensors())
 
+    @classmethod
+    def empty(cls, config: ModelConfig,
+              head_index_map=None) -> "TransformerWeights":
+        """Every tensor of `config` (with the kept heads of
+        `head_index_map`, all heads without it), uninitialised: the caller
+        writes every element. Each group's tensors below
+        `autograd.ARENA_LIMIT` elements are views of one arena
+        (`autograd.place`, groups by `tensor_group`), in checkpoint
+        order."""
+        tensors = ag.place(tensor_shapes(config, head_index_map), tensor_group)
+        return cls.from_named(config, tensors,
+                              [list(row) for row in head_index_map or []])
+
     def clone(self) -> "TransformerWeights":
-        """Deep copy: fresh tensors, no gradient state or graph links."""
-        return self.from_named(
-            self.config,
-            {name: Tensor(t.data.copy()) for name, t in self.named_tensors()},
-            [list(row) for row in self.head_index_map],
-        )
+        """Deep copy into fresh arenas: no gradient state or graph links."""
+        out = self.empty(self.config, self.head_index_map)
+        for (_, src), (_, dst) in zip(self.named_tensors(), out.named_tensors()):
+            np.copyto(dst.data, src.data)
+        return out
 
 
 @dataclass
@@ -275,17 +300,22 @@ class HeadMask:
 def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
     """Every tensor at its layout's init: N(0, init_std), zeros or ones."""
     rng = np.random.default_rng(seed)
-    tensors = {}
+    weights = TransformerWeights.empty(config)
+    tensors = dict(weights.named_tensors())
     # RNG draw order: the blocks first, then the tensors around them (a
     # stable sort on "not in a block"). Every seed's weights depend on it;
-    # test_golden_logits_pinned pins it.
+    # test_golden_logits_pinned pins it. Each draw is written straight into
+    # the tensor's place: standard_normal scaled by init_std has the bits
+    # of rng.normal(0, init_std).
     layout = sorted(tensor_layout(config), key=lambda e: e[1] is None)
-    for name, _, part, shape in layout:
+    for name, _, part, _ in layout:
+        data = tensors[name].data
         if part.init == "normal":
-            tensors[name] = Tensor(rng.normal(0.0, config.init_std, size=shape))
+            rng.standard_normal(out=data)
+            data *= config.init_std
         else:
-            tensors[name] = Tensor((np.zeros if part.init == "zeros" else np.ones)(shape))
-    return TransformerWeights.from_named(config, tensors)
+            data.fill(1.0 if part.init == "ones" else 0.0)
+    return weights
 
 
 def forward(

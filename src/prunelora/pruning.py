@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .model import HEAD_AXES, HeadMask, TransformerWeights
+from .model import HEAD_AXES, HeadMask, TransformerWeights, tensor_layout
 from .schema import Record
 
 
@@ -116,19 +116,26 @@ def apply_slice_prune(weights: TransformerWeights, plan: PrunePlan) -> Transform
     their original order. Re-applying the same plan is a no-op.
     """
     _check_plan(weights, plan)
-    out = weights.clone()
-    for l, blk in enumerate(out.blocks):
-        kept = out.head_index_map[l]
+    takes = []
+    for l, kept in enumerate(weights.head_index_map):
         # heads must already exist in this block (supports re-slicing)
         missing = [h for h in plan.kept_indices(l) if h not in kept]
         if missing:
             raise ValueError(
                 f"block {l}: plan keeps heads {missing} already pruned away"
             )
-        take = _positions([j for j, h in enumerate(kept) if plan.keep[l, h]],
-                          out.config.head_dim)
-        for part, axis in HEAD_AXES.items():
-            t = getattr(blk, part)
-            t.data = np.take(t.data, take, axis=axis)
-        out.head_index_map[l] = [h for h in kept if plan.keep[l, h]]
+        takes.append(_positions([j for j, h in enumerate(kept) if plan.keep[l, h]],
+                                weights.config.head_dim))
+    out = TransformerWeights.empty(
+        weights.config,
+        [[h for h in kept if plan.keep[l, h]]
+         for l, kept in enumerate(weights.head_index_map)])
+    # every tensor is copied once, into its place in `out`
+    for (_, layer, part, _), (_, src), (_, dst) in zip(
+            tensor_layout(weights.config, weights.head_index_map),
+            weights.named_tensors(), out.named_tensors()):
+        if part.head_axis is None:
+            np.copyto(dst.data, src.data)
+        else:
+            np.take(src.data, takes[layer], axis=part.head_axis, out=dst.data)
     return out

@@ -67,6 +67,9 @@ class TrainConfig(Record):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.importance_epsilon > 0:
+            raise ValueError("importance_epsilon must be > 0, "
+                             f"got {self.importance_epsilon}")
         if self.importance_sample_size < 1:
             raise ValueError("importance_sample_size must be >= 1, "
                              f"got {self.importance_sample_size}")
@@ -141,8 +144,8 @@ def freeze_policy(
 
 # Elements per row block of AdamW.step, unless one row is wider: its two
 # float64 scratch arrays of this size (256 KiB each) stay in cache while a
-# large tensor streams through.
-ADAMW_CHUNK = 1 << 15
+# large tensor streams through. A tensor below it lives in an arena.
+ADAMW_CHUNK = ag.ARENA_LIMIT
 # AdamW's moment decay rates and denominator guard
 ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
@@ -152,21 +155,31 @@ ADAMW_EPS = 1e-8
 class AdamW:
     """Adam with decoupled weight decay applied before the moment update.
 
-    `step` updates each parameter in place, one block of whole first-axis
-    rows at a time: as many rows as fit in `ADAMW_CHUNK` elements, at least
-    one (a 0-d tensor is one block). The blocks are views, so a tensor in
-    any memory layout is updated in place. Two scratch arrays, sized to the
-    largest block, are allocated once with the optimizer, together with
-    each block's views of them; a step allocates no array. Every operation
-    is elementwise and runs in the same order on every block, so the
-    result has the same bits however a tensor is split. The moments start
-    as `np.zeros`, so large ones are mapped lazily rather than filled.
+    `step` updates arrays in place, one block of whole first-axis rows at a
+    time: as many rows as fit in `ADAMW_CHUNK` elements, at least one (a
+    0-d tensor is one block). An arena (`autograd.Arena`) whose every
+    tensor is a parameter, listed in arena order, is one flat array (its
+    zero padding included), with its gradient buffer as gradient and one
+    buffer per moment; every other parameter is an array of its own. The
+    blocks are views, so a tensor in any memory layout is updated in
+    place. Two scratch arrays, sized to the largest block, are
+    allocated once with the optimizer, together with each block's views of
+    them; a step allocates no array. Every operation is elementwise and
+    runs in the same order on every block, so the result has the same bits
+    however the parameters are split or joined. The moments start as
+    `np.zeros`, so large ones are mapped lazily rather than filled.
 
-    A tensor whose gradients come only from `embedding` lookups
-    (`Tensor.grad_rows`) is tracked by row. A row that has never had a
-    gradient has zero moments, so its full update is exactly the decay
-    `p -= lr*wd*p`: a block that holds no row looked up so far (no live
-    row) gets only the decay, every other block the full update. Bits,
+    An arena's gradient is its buffer when each of its tensors' `.grad` is
+    its slot there, as the engine leaves it; a gradient assigned by hand is
+    copied into the slot first. If some of its tensors have no gradient,
+    each tensor that has one is updated on its own range. A gradient whose
+    shape is not its parameter's is refused (ValueError).
+
+    A tensor outside an arena whose gradients come only from `embedding`
+    lookups (`Tensor.grad_rows`) is tracked by row. A row that has never
+    had a gradient has zero moments, so its full update is exactly the
+    decay `p *= 1 - lr*wd`: a block that holds no row looked up so far (no
+    live row) gets only the decay, every other block the full update. Bits,
     moments included, are those of the dense update, and the moment pages
     of blocks without a live row are never touched. A gradient without a
     row set makes the tensor dense from then on.
@@ -177,45 +190,117 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros(p.data.shape) for p in self.params]
-        self.v = [np.zeros(p.data.shape) for p in self.params]
-        # per parameter, which rows have had a gradient; None once dense
-        self.live = [np.zeros(p.data.shape[:1], dtype=bool) for p in self.params]
-        cuts = [[(c, p.data[c].shape) for c in _row_blocks(p.data.shape)]
-                for p in self.params]
+        members = {}
+        for p in self.params:
+            if p.arena is not None:
+                members.setdefault(id(p.arena), []).append(p)
+        # arenas whose every tensor is a parameter, listed in arena order;
+        # their gradient buffers are allocated here if no backward did yet
+        joined = {k: ts for k, ts in members.items()
+                  if len(ts) == len(ts[0].arena.views)
+                  and all(t.data is v for t, v in zip(ts, ts[0].arena.views))}
+        for tensors in joined.values():
+            tensors[0].arena.slots()
+        # what a step updates, in order: (parameter, None), or (None, its
+        # tensors) for a joined arena
+        self.units = []
+        for p in self.params:
+            tensors = joined.get(id(p.arena))
+            if tensors is None:
+                self.units.append((p, None))
+            elif p is tensors[0]:
+                self.units.append((None, tensors))
+        shapes = [(p.data if ts is None else ts[0].arena.data).shape
+                  for p, ts in self.units]
+        self.m = [np.zeros(shape) for shape in shapes]
+        self.v = [np.zeros(shape) for shape in shapes]
+        # per unit, which rows have had a gradient; None once dense (an
+        # arena is dense from the start)
+        self.live = [np.zeros(shape[:1], dtype=bool) if ts is None else None
+                     for (_, ts), shape in zip(self.units, shapes)]
+        cuts = [_row_blocks(shape) for shape in shapes]
         size = max((math.prod(b) for bs in cuts for _, b in bs), default=0)
-        scratch = np.empty(size), np.empty(size)
-        # per parameter, each block and its two scratch views in its shape
-        self.blocks = [[(c, *(s[:math.prod(b)].reshape(b) for s in scratch))
+        self.scratch = np.empty(size), np.empty(size)
+        # per unit, each block and its two scratch views in its shape
+        self.blocks = [[(c, *(s[:math.prod(b)].reshape(b) for s in self.scratch))
                         for c, b in bs] for bs in cuts]
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - ADAMW_BETA1 ** self.t
         bc2 = 1.0 - ADAMW_BETA2 ** self.t
-        for j, (param, m, v) in enumerate(zip(self.params, self.m, self.v)):
-            p, g = param.data, param.grad
-            if g is None:
-                continue
-            live, rows = self.live[j], param.grad_rows
-            if live is None or rows is None:
-                live = self.live[j] = None
+        # _update's scalars: p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) is
+        # p -= m / ((sqrt(v) + eps*sqrt(bc2)) * bc1/(lr*sqrt(bc2)))
+        eps = ADAMW_EPS * math.sqrt(bc2)
+        scale = bc1 / (self.lr * math.sqrt(bc2))
+        # a refused step updates nothing
+        for j, param in enumerate(self.params):
+            g = param.grad
+            if g is not None and g.shape != param.data.shape:
+                raise ValueError(
+                    f"parameter {j}: gradient shape {g.shape} differs from "
+                    f"the parameter's {param.data.shape}")
+        for k, (param, tensors) in enumerate(self.units):
+            m, v = self.m[k], self.v[k]
+            if tensors is not None:
+                arena = tensors[0].arena
+                if not self._gather(tensors):
+                    self._update_ranges(tensors, m, v, eps, scale)
+                    continue
+                p, g = arena.data, arena.grad
             else:
-                live |= rows
-            for c, s1, s2 in self.blocks[j]:
+                p, g = param.data, param.grad
+                if g is None:
+                    continue
+                live, rows = self.live[k], param.grad_rows
+                if live is None or rows is None:
+                    self.live[k] = None
+                else:
+                    live |= rows
+            live = self.live[k]
+            for c, s1, s2 in self.blocks[k]:
                 if live is None or live[c].any():
-                    self._update(p[c], g[c], m[c], v[c], s1, s2, bc1, bc2)
+                    self._update(p[c], g[c], m[c], v[c], s1, s2, eps, scale)
                 elif self.weight_decay:
-                    self._decay(p[c], s1)
+                    self._decay(p[c])
 
-    def _update(self, p, g, m, v, s1, s2, bc1, bc2):
-        """The update below, in place on p, m and v through s1 and s2:
-            p -= lr*wd*p
+    @staticmethod
+    def _gather(tensors):
+        """Copy each gradient of a joined arena's tensors that is not in
+        its slot there; whether every tensor has a gradient."""
+        complete = True
+        for t, slot in zip(tensors, tensors[0].arena.slots()):
+            g = t.grad
+            if g is None:
+                complete = False
+            elif g is not slot:
+                np.copyto(slot, g)
+        return complete
+
+    def _update_ranges(self, tensors, m, v, eps, scale):
+        """Update each of a joined arena's tensors that has a gradient (in
+        its slot) on its own range of the flat arrays, in blocks of at most
+        ADAMW_CHUNK elements."""
+        arena = tensors[0].arena
+        s1, s2 = self.scratch
+        for t, a, b in zip(tensors, arena.bounds, arena.bounds[1:]):
+            if t.grad is None:
+                continue
+            for c, (n,) in _row_blocks((b - a,)):
+                c = slice(a + c.start, a + c.start + n)
+                self._update(arena.data[c], arena.grad[c], m[c], v[c],
+                             s1[:n], s2[:n], eps, scale)
+
+    def _update(self, p, g, m, v, s1, s2, eps, scale):
+        """The update below, in 13 passes, in place on p, m and v through
+        s1 and s2:
+            p *= 1 - lr*wd
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-            p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            p -= m / ((sqrt(v) + eps) * scale)
+        with `eps` and `scale` the step's folded scalars (see `step`).
         """
         if self.weight_decay:
-            self._decay(p, s1)
+            self._decay(p)
         m *= ADAMW_BETA1
         np.multiply(1.0 - ADAMW_BETA1, g, out=s1)
         m += s1
@@ -223,17 +308,14 @@ class AdamW:
         np.multiply(g, g, out=s1)
         s1 *= 1.0 - ADAMW_BETA2
         v += s1
-        np.divide(m, bc1, out=s1)
-        s1 *= self.lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += ADAMW_EPS
-        s1 /= s2
-        p -= s1
+        np.sqrt(v, out=s2)
+        s2 += eps
+        s2 *= scale
+        np.divide(m, s2, out=s2)
+        p -= s2
 
-    def _decay(self, p, s1):
-        np.multiply(self.lr * self.weight_decay, p, out=s1)
-        p -= s1
+    def _decay(self, p):
+        p *= 1.0 - self.lr * self.weight_decay
 
     def zero_grad(self):
         for p in self.params:
@@ -241,13 +323,14 @@ class AdamW:
 
 
 def _row_blocks(shape) -> list:
-    """AdamW's blocks of a tensor of `shape`: slices of as many whole
-    first-axis rows as fit in `ADAMW_CHUNK` elements, at least one row, or
-    `...` for a 0-d tensor."""
+    """AdamW's blocks of an array of `shape`, each as (index, its shape):
+    slices of as many whole first-axis rows as fit in `ADAMW_CHUNK`
+    elements, at least one row, or `...` for a 0-d array."""
     if not shape:
-        return [...]
+        return [(..., ())]
     rows = max(1, ADAMW_CHUNK // max(1, math.prod(shape[1:])))
-    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+    return [(slice(i, i + rows), (min(rows, shape[0] - i), *shape[1:]))
+            for i in range(0, shape[0], rows)]
 
 
 def predict(

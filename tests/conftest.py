@@ -53,6 +53,40 @@ def finite_diff(f, tensor, h=1e-5):
     return g
 
 
+def assert_arena_layout(named, group=lambda name: None):
+    """`named` ((name, Tensor) pairs in checkpoint order) is laid out as
+    `autograd.place` lays it out: per `group(name)`, the tensors below
+    `autograd.ARENA_LIMIT` elements are C-contiguous views, in that order,
+    of one arena's buffer, each starting on its own 64-byte cache line with
+    zeros after it up to the next, their gradient slots the same ranges of
+    its gradient buffer; each larger tensor owns its array."""
+    groups = {}
+    for name, t in named:
+        if t.data.size < ag.ARENA_LIMIT:
+            groups.setdefault(group(name), []).append(t)
+        else:
+            assert t.arena is None and t.data.base is None, name
+    for members in groups.values():
+        arena = members[0].arena
+        assert arena is not None and all(t.arena is arena for t in members)
+        assert len(arena.bounds) == len(members) + 1
+        slots = arena.slots()
+        for buffer in (arena.data, arena.grad):
+            assert buffer.size == arena.bounds[-1]
+            assert buffer.ctypes.data % 64 == 0
+        for i, (t, view, slot) in enumerate(zip(members, arena.views, slots)):
+            a, b = arena.bounds[i:i + 2]
+            assert t.data is view and t._slot() is slot
+            assert a % 8 == 0 and t.data.size <= b - a < t.data.size + 8
+            for v, buffer in ((view, arena.data), (slot, arena.grad)):
+                assert v.shape == t.data.shape and v.flags.c_contiguous
+                # (numpy may place an empty view anywhere)
+                assert not v.size or v.ctypes.data == buffer.ctypes.data + 8 * a
+                assert not buffer[a + v.size:b].any()
+    arenas = [ms[0].arena for ms in groups.values()]
+    assert len({id(a) for a in arenas}) == len(arenas)
+
+
 def weighted_sum(out, w):
     """The 0-d loss sum(out * w) for a constant `w` broadcastable to `out`:
     d loss / d out is `w`, so a random `w` exercises the whole Jacobian."""

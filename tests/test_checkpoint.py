@@ -20,10 +20,36 @@ from prunelora import (
 )
 from prunelora.autograd import NonFiniteError
 from prunelora.checkpoint import CheckpointError
-from prunelora.lora import save_adapters
-from prunelora.model import Block, tensor_shapes
+from prunelora.lora import load_adapters, save_adapters
+from prunelora.model import Block, tensor_group, tensor_shapes
 
-from conftest import repack_checkpoint
+from conftest import assert_arena_layout, repack_checkpoint
+
+
+def test_clone_and_round_trips_keep_arenas_and_file_bytes(toy_weights,
+                                                          tmp_path):
+    keep = np.ones((4, 4), dtype=bool)
+    keep[1, :] = False  # a block with empty tensors
+    keep[2, 1:] = False
+    sliced = apply_slice_prune(toy_weights,
+                               PrunePlan(keep=keep, keep_count=int(keep.sum())))
+    adapters = init_adapters(sliced, make_rank_plan([0.4, 0.3, 0.2, 0.1], 2, 8, 4),
+                             seed=3)
+    first, again = tmp_path / "first.ckpt", tmp_path / "again.ckpt"
+    for weights in (toy_weights, sliced):
+        checkpoint.save_model(first, weights)
+        # a clone, and the weights read back, write the same bytes
+        for copy in (weights.clone(), checkpoint.load_model(first)[0]):
+            assert_arena_layout(list(copy.named_tensors()), tensor_group)
+            checkpoint.save_model(again, copy)
+            assert again.read_bytes() == first.read_bytes()
+    assert_arena_layout(list(sliced.named_tensors()), tensor_group)
+    assert_arena_layout(list(adapters.named_tensors()))
+    save_adapters(first, adapters)
+    loaded = load_adapters(first, sliced)
+    assert_arena_layout(list(loaded.named_tensors()))
+    save_adapters(again, loaded)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_model_roundtrip_bit_exact(toy_config, toy_weights, tmp_path):
@@ -200,6 +226,23 @@ def test_head_index_map_entries_are_not_rounded(toy_weights, tmp_path):
 
     path.write_bytes(repack_checkpoint(path, edit))
     with pytest.raises(CheckpointError, match="bad model manifest"):
+        checkpoint.load_model(path)
+
+
+def test_a_tensor_listed_twice_is_refused(toy_weights, tmp_path):
+    # each tensor is read into its one place in the model, so a second
+    # entry of the same name (here an empty one, which fits the payload)
+    # would be read over the first
+    keep = np.ones((4, 4), dtype=bool)
+    keep[1, :] = False
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, apply_slice_prune(toy_weights, PrunePlan(keep, 12)))
+
+    def edit(m):
+        m["tensors"].append(next(dict(e) for e in m["tensors"] if e["size"] == 0))
+
+    path.write_bytes(repack_checkpoint(path, edit))
+    with pytest.raises(CheckpointError, match="block1.wq: listed twice"):
         checkpoint.load_model(path)
 
 

@@ -259,5 +259,5 @@ def test_empty_block_adapters_decay_without_changing_logits(
     opt = AdamW([t for pair in pairs.values() for t in pair],
                 lr=0.1, weight_decay=0.5)
     opt.step()
-    assert np.array_equal(pairs["q"][0].data, a_q - (0.1 * 0.5) * a_q)
+    assert np.array_equal(pairs["q"][0].data, a_q * (1.0 - 0.1 * 0.5))
     assert np.array_equal(forward(weights, batch, adapters=adapters).data, before)

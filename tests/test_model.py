@@ -17,9 +17,9 @@ from prunelora import (
     make_rank_plan,
 )
 from prunelora.autograd import Tensor
-from prunelora.model import HEAD_AXES, tensor_layout, tensor_shapes
+from prunelora.model import HEAD_AXES, tensor_group, tensor_layout, tensor_shapes
 
-from conftest import finite_diff, reference_logits, rel_err
+from conftest import assert_arena_layout, finite_diff, reference_logits, rel_err
 
 # pinned output of the toy model (vocab 16), seed 0, on the batch below
 GOLDEN_TOKEN_IDS = [
@@ -304,3 +304,35 @@ def test_graph_node_counts_with_an_empty_block(empty_block_weights,
     assert count("full_finetune") == 49
     assert count("prune_lora") == 46
     assert count("importance", HeadMask.ones(empty_block_weights.config)) == 42
+
+
+def test_weights_live_in_one_arena_per_group(toy_config):
+    # toy geometry: every tensor is below one arena limit
+    weights = init_weights(toy_config, seed=0)
+    named = list(weights.named_tensors())
+    assert_arena_layout(named, tensor_group)
+    assert {tensor_group(n) for n, _ in named} == {"base", "layernorm",
+                                                  "classifier"}
+    assert [t for n, t in named if tensor_group(n) == "layernorm"] == \
+        weights.layernorm_tensors()
+    # a copy lives in arenas of its own
+    copy = weights.clone()
+    assert_arena_layout(list(copy.named_tensors()), tensor_group)
+    assert all(a.arena is not b.arena for (_, a), (_, b)
+               in zip(named, copy.named_tensors()))
+    # a table of one arena limit or more owns its array
+    wide = ModelConfig(num_layers=1, num_heads=2, hidden=32, ffn_dim=16,
+                       vocab_size=ag.ARENA_LIMIT // 32, max_positions=8)
+    weights = init_weights(wide, seed=0)
+    assert weights.tok_emb.data.size == ag.ARENA_LIMIT
+    assert weights.tok_emb.arena is None
+    assert_arena_layout(list(weights.named_tensors()), tensor_group)
+
+
+def test_arena_gradients_land_in_their_slots(toy_weights, parity_batch):
+    weights = toy_weights.clone()
+    weights.set_requires_grad(True)
+    ag.backward(ag.cross_entropy(forward(weights, parity_batch),
+                                 parity_batch.labels))
+    for name, t in weights.named_tensors():
+        assert t.grad is t._slot(), name

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -9,6 +10,7 @@ from prunelora import autograd as ag
 from prunelora import training
 from prunelora import (
     SyntheticTaskSpec,
+    TransformerWeights,
     forward,
     freeze_policy,
     generate,
@@ -107,12 +109,25 @@ def test_adamw_single_step_matches_hand_computation():
     assert float(w.data) == pytest.approx(expected, abs=1e-12)
 
 
+def reference_step(p, m, v, g, t, lr, wd):
+    """AdamW step `t` of the reference expression, as new (p, m, v): the
+    decay as one factor, then the moments, then the step with lr/bc1 and
+    1/sqrt(bc2) folded into two scalars,
+        p -= m / ((sqrt(v) + eps*sqrt(bc2)) * bc1/(lr*sqrt(bc2)))
+    which is lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
+    bc1, bc2 = 1.0 - ADAMW_BETA1 ** t, 1.0 - ADAMW_BETA2 ** t
+    p = p * (1.0 - lr * wd)
+    m = ADAMW_BETA1 * m + (1.0 - ADAMW_BETA1) * g
+    v = ADAMW_BETA2 * v + (1.0 - ADAMW_BETA2) * (g * g)
+    s = (np.sqrt(v) + ADAMW_EPS * math.sqrt(bc2)) * (bc1 / (lr * math.sqrt(bc2)))
+    return p - m / s, m, v
+
+
 def test_adamw_steps_match_the_reference_expression():
     rng = np.random.default_rng(3)
     shapes = [(5, 4), (7,), ()]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     lr, wd = 1e-2, 0.1
-    b1, b2, eps = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
     opt = AdamW(params, lr=lr, weight_decay=wd)
     ref = [p.data.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
@@ -122,14 +137,28 @@ def test_adamw_steps_match_the_reference_expression():
         for p, g in zip(params, grads):
             p.grad = g.copy()
         opt.step()
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for i, g in enumerate(grads):
-            ref[i] -= lr * wd * ref[i]
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-            ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            ref[i], m[i], v[i] = reference_step(ref[i], m[i], v[i], g, t, lr, wd)
             assert np.array_equal(params[i].data, ref[i])
             assert np.array_equal(params[i].grad, g)  # grad left as given
+
+
+def test_adamw_folded_step_is_the_textbook_step():
+    # the reference expression against AdamW as written in the paper
+    # (Loshchilov & Hutter 2019), over 200 steps
+    rng = np.random.default_rng(13)
+    lr, wd, b1, b2 = 1e-2, 0.1, ADAMW_BETA1, ADAMW_BETA2
+    p = ref = rng.normal(size=64)
+    m = v = tm = tv = np.zeros(64)
+    for t in range(1, 201):
+        g = rng.normal(size=64)
+        ref, m, v = reference_step(ref, m, v, g, t, lr, wd)
+        p = p - lr * wd * p
+        tm = b1 * tm + (1.0 - b1) * g
+        tv = b2 * tv + (1.0 - b2) * (g * g)
+        p = p - lr * (tm / (1.0 - b1 ** t)) / (np.sqrt(tv / (1.0 - b2 ** t))
+                                                + ADAMW_EPS)
+    assert np.abs(ref - p).max() < 1e-12
 
 
 @pytest.fixture
@@ -150,7 +179,7 @@ def check_adamw_against_reference(params, wd, grad_layout=None, steps=3):
     the reference expression. grad_layout[i], if given, re-lays out each
     gradient of params[i] (e.g. `transposed`)."""
     rng = np.random.default_rng(11)
-    lr, b1, b2, eps = 1e-2, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
+    lr = 1e-2
     layout = grad_layout or [None] * len(params)
     opt = AdamW(params, lr=lr, weight_decay=wd)
     ref = [p.data.copy() for p in params]
@@ -162,12 +191,8 @@ def check_adamw_against_reference(params, wd, grad_layout=None, steps=3):
         for p, g in zip(params, grads):
             p.grad = g
         opt.step()
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for i, g in enumerate(grads):
-            ref[i] -= lr * wd * ref[i]
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-            ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            ref[i], m[i], v[i] = reference_step(ref[i], m[i], v[i], g, t, lr, wd)
             assert np.array_equal(params[i].data, ref[i]), (t, i)
 
 
@@ -302,7 +327,7 @@ def train_table(wd, contribute, shape=(16, 3)):
     the step's forward and backward. Returns the optimizer."""
     rng = np.random.default_rng(12)
     table = Tensor(rng.normal(size=shape), requires_grad=True)
-    lr, b1, b2, eps = 1e-2, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
+    lr = 1e-2
     opt = AdamW([table], lr=lr, weight_decay=wd)
     ref = table.data.copy()
     m, v = np.zeros(ref.shape), np.zeros(ref.shape)
@@ -311,11 +336,7 @@ def train_table(wd, contribute, shape=(16, 3)):
         g = table.grad.copy()
         opt.step()
         opt.zero_grad()
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        ref -= lr * wd * ref
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        ref -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        ref, m, v = reference_step(ref, m, v, g, t, lr, wd)
         assert np.array_equal(table.data, ref), t
         assert np.array_equal(opt.m[0], m), t
         assert np.array_equal(opt.v[0], v), t
@@ -397,6 +418,82 @@ def test_adamw_zero_grad_clears_the_row_set(small_chunk, wd):
 
     opt = train_table(wd, contribute)
     assert opt.live[0] is not None
+
+
+def test_adamw_refuses_a_gradient_of_another_shape(toy_config):
+    rng = np.random.default_rng(14)
+    params = [Tensor(rng.normal(size=(3,)), requires_grad=True),
+              Tensor(rng.normal(size=(5, 4)), requires_grad=True)]
+    params[0].grad = rng.normal(size=(3,))
+    params[1].grad = rng.normal(size=(4,))  # would broadcast over every row
+    before = [p.data.copy() for p in params]
+    opt = AdamW(params, lr=0.1, weight_decay=0.1)
+    with pytest.raises(ValueError, match=r"parameter 1: gradient shape \(4,\) "
+                                         r"differs from the parameter's \(5, 4\)"):
+        opt.step()
+    # a refused step updates nothing
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    # an arena tensor's gradient, assigned by hand, is checked as well
+    weights = init_weights(toy_config, seed=0)
+    params = freeze_policy(weights, None, "full_finetune")
+    for p in params:
+        p.grad = np.zeros(p.data.shape)
+    params[5].grad = np.zeros(params[5].data.shape[-1:])
+    with pytest.raises(ValueError, match="parameter 5: gradient shape"):
+        AdamW(params, lr=0.1).step()
+
+
+def arena_and_alone(weights):
+    """The full_finetune parameters of `weights` (in arenas) and of a copy
+    whose every tensor owns its array."""
+    alone = TransformerWeights.from_named(
+        weights.config,
+        {name: Tensor(t.data.copy()) for name, t in weights.named_tensors()})
+    return (freeze_policy(weights.clone(), None, "full_finetune"),
+            freeze_policy(alone, None, "full_finetune"))
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_adamw_over_arenas_matches_adamw_per_tensor(toy_config, wd):
+    """An arena is one flat array to AdamW; the bits are those of one update
+    per tensor, also on steps where some tensors have no gradient (each
+    tensor with one is then updated on its own range), and after a
+    gradient was assigned by hand (copied into its slot)."""
+    rng = np.random.default_rng(15)
+    joined, alone = arena_and_alone(init_weights(toy_config, seed=0))
+    opts = [AdamW(ps, lr=1e-2, weight_decay=wd) for ps in (joined, alone)]
+    # three arenas (base, LayerNorm, classifier), each one unit
+    assert [a is not None for _, a in opts[0].units] == [True] * 3
+    assert all(a is None for _, a in opts[1].units)
+    for step in range(4):
+        grads = [rng.normal(size=p.data.shape) for p in joined]
+        skipped = set(rng.choice(len(joined), size=5)) if step == 2 else set()
+        for ps in (joined, alone):
+            for i, (p, g) in enumerate(zip(ps, grads)):
+                p.zero_grad()
+                if i in skipped:
+                    continue
+                if step == 3 and i == 0:
+                    p.grad = g  # by hand, not in its slot
+                else:
+                    p.accumulate_grad(g)
+        assert (joined[0].grad is joined[0]._slot()) == (step < 3)
+        for opt in opts:
+            opt.step()
+        for i, (a, b) in enumerate(zip(joined, alone)):
+            assert np.array_equal(a.data, b.data), (step, i)
+
+
+def test_adamw_step_copies_no_engine_gradient(toy_config, parity_batch):
+    # the engine writes every gradient into its arena slot, so a step over
+    # the toy model allocates nothing the size of a tensor
+    weights = init_weights(toy_config, seed=0)
+    params = freeze_policy(weights, None, "full_finetune")
+    ag.backward(ag.cross_entropy(forward(weights, parity_batch),
+                                 parity_batch.labels))
+    assert all(p.grad is p._slot() for p in params)
+    opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+    assert step_scratch_peak(opt) < 4 * 1024
 
 
 def test_adamw_skips_parameters_without_gradients():
@@ -565,7 +662,9 @@ def test_invalid_train_config_rejected():
     for field, bad in (("learning_rate", -0.5), ("learning_rate", 0.0),
                        ("learning_rate", float("nan")), ("weight_decay", -3.0),
                        ("importance_sample_size", 0),
-                       ("importance_sample_size", -3), ("keep_count", -1),
+                       ("importance_sample_size", -3),
+                       ("importance_epsilon", 0.0), ("importance_epsilon", -1.0),
+                       ("importance_epsilon", float("nan")), ("keep_count", -1),
                        ("n_high", -1), ("rank_low", 0), ("rank_high", 3)):
         with pytest.raises(ValueError, match=f"{field} must be"):
             TrainConfig(**{field: bad})
