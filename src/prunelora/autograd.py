@@ -35,8 +35,9 @@ updates a whole arena as one array and no step copies a parameter.
 
 A transformer block is built from two fused ops, one graph node each:
 
-- `linear(x, W, b, adapter)` is a projection `x @ W + b`, plus the LoRA
-  side path `scaling * (x @ A) @ B` when an adapter is attached.
+- `linear(x, W, b, adapter, act)` is a projection `x @ W + b`, plus the
+  LoRA side path `scaling * (x @ A) @ B` when an adapter is attached,
+  then the activation `act` ("relu" or "tanh", or none) in place.
 - `attention(q, k, v, bias, d_h, xi, heads)` is the scaled dot-product
   attention of every kept head of a block, each head optionally scaled by
   its head-mask scalar. The heads run as one batch: q, k and v are viewed
@@ -49,13 +50,13 @@ A transformer block is built from two fused ops, one graph node each:
 
 Their backward passes are written out by hand (see each op). Both accept
 width 0, so a block that lost every head needs no op of its own. The
-other ops are the ones the model runs between them: `relu`, `tanh`,
-`layernorm` (over a sum of terms: each residual sum is part of the
-LayerNorm node that reads it), `embedding`, `first_token` (the CLS-row
-select at the last block's input) and `cross_entropy`. `layernorm` runs
-on one buffer: its row mean and variance are a GEMV and an `einsum`, it
-centres and scales the summed terms in place into `xhat`, and its backward
-reuses that buffer and hands its `dx` over as it is to one term.
+other ops are the ones the model runs between them: `layernorm` (over a
+sum of terms: each residual sum is part of the LayerNorm node that reads
+it), `embedding`, `first_token` (the CLS-row select at the last block's
+input) and `cross_entropy`. `layernorm` runs on one buffer: its row mean
+and variance are a GEMV and an `einsum`, it centres and scales the summed
+terms in place into `xhat`, and its backward reuses that buffer and hands
+its `dx` over as it is to one term.
 `count_macs` counts the products of `linear` and `attention`.
 """
 
@@ -333,31 +334,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops, LayerNorm and the loss
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask, fresh=True)
-
-    # branch-free, unlike np.where(mask, x, 0.0) on a random sign pattern
-    # (13x slower at toy-geometry FFN width); -0.0 maps to 0.0 as well
-    return _from_op(np.maximum(x.data, 0.0), (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - out * out), fresh=True)
-
-    return _from_op(out, (x,), bwd)
+# LayerNorm and the loss
 
 
 def layernorm(terms, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -480,8 +457,9 @@ def _project(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
-def linear(x, W, b, adapter=None) -> Tensor:
-    """Projection `x @ W + b` of a `(..., k)` input, as one graph node.
+def linear(x, W, b, adapter=None, act=None) -> Tensor:
+    """Projection `x @ W + b` of a `(..., k)` input, then an optional
+    activation, as one graph node.
 
     `adapter` is an optional `(A, B, scaling)` low-rank pair, `A` of shape
     `(k, r)` and `B` of shape `(r, n)`: it adds `scaling * (x @ A) @ B`
@@ -490,10 +468,18 @@ def linear(x, W, b, adapter=None) -> Tensor:
     The adapter's `scaling` is applied once, to the small `(rows, r)`
     product `x @ A`, and in backward to its gradient.
 
+    `act` is None, "relu" or "tanh". The activation runs in place on the
+    output, after the bias, so the node holds one output-sized array and
+    no mask. Backward first takes the activation's factor from that output
+    into a new array, `g * (out > 0)` or `g * (1 - out * out)` (`g` is a
+    held tensor's `.grad`, so it is never written).
+
     Backward runs every gradient product as a 2-D GEMM over the rows
     flattened to `(-1, k)`: dx, dW (skipped for a frozen W), and the
     adapter's dA and dB.
     """
+    if act not in (None, "relu", "tanh"):
+        raise ValueError(f"linear: unknown activation {act!r}")
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     shape = x.data.shape
     if x.data.ndim < 2 or W.data.ndim != 2 or shape[-1] != W.data.shape[0]:
@@ -526,6 +512,10 @@ def linear(x, W, b, adapter=None) -> Tensor:
         _count_macs(macs)
 
     def bwd(g):
+        if act == "relu":
+            g = g * (out > 0)
+        elif act == "tanh":
+            g = g * (1.0 - out * out)
         g2 = g.reshape(rows, n)
         x2 = x.data.reshape(rows, k)
         if b.requires_grad:
@@ -549,7 +539,16 @@ def linear(x, W, b, adapter=None) -> Tensor:
         if dx is not None:
             x.accumulate_grad(dx.reshape(shape), fresh=True)
 
-    return _from_op(out, parents, bwd)
+    node = _from_op(out, parents, bwd)
+    # after `_from_op`'s finiteness scan, which must see the projection:
+    # relu maps -inf to 0 and tanh maps +-inf to +-1
+    if act == "relu":
+        # branch-free, unlike np.where on a random sign pattern (13x slower
+        # at toy-geometry FFN width); -0.0 maps to 0.0 as well
+        np.maximum(out, 0.0, out=out)
+    elif act == "tanh":
+        np.tanh(out, out=out)
+    return node
 
 
 def attention(q, k, v, bias, d_h: int, xi=None, heads=None) -> Tensor:

@@ -88,7 +88,8 @@ def _manifest_entries(path, manifest, base: int, file_size: int):
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed manifest: {e!r}") from e
     for name, shape, offset, size in entries:
-        if not all(isinstance(v, int) and v >= 0 for v in (offset, size, *shape)):
+        # JSON integers only: a JSON true or false is a Python bool, an int
+        if not all(type(v) is int and v >= 0 for v in (offset, size, *shape)):
             raise CheckpointError(f"{path}: {name}: bad shape, offset or size")
         if size != 8 * math.prod(shape):
             raise CheckpointError(

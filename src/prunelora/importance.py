@@ -26,9 +26,8 @@ DEFAULT_SAMPLE_SIZE = 512
 
 @dataclass
 class ImportanceMap:
-    raw: np.ndarray            # (L, H) mean |d loss / d mask| per token
-    l2_normalized: np.ndarray  # raw / (global L2 norm + epsilon)
-    final: np.ndarray          # min-max normalized onto [0, 1]
+    raw: np.ndarray    # (L, H) mean |d loss / d mask| per token
+    final: np.ndarray  # raw / (global L2 norm + epsilon), min-max onto [0, 1]
     token_count: int
     sample_size: int
     epsilon: float
@@ -116,11 +115,9 @@ def estimate_importance(
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         sample = sample.slice(0, min(sample_size, sample.size))
     raw, token_count = estimate_raw_importance(weights, sample, batch_size)
-    l2 = l2_normalize(raw, epsilon)
     return ImportanceMap(
         raw=raw,
-        l2_normalized=l2,
-        final=minmax_normalize(l2),
+        final=minmax_normalize(l2_normalize(raw, epsilon)),
         token_count=token_count,
         sample_size=sample.size,
         epsilon=epsilon,

@@ -3,9 +3,10 @@
 Post-norm residual blocks (BERT ordering): MHA -> add&norm -> FFN ->
 add&norm, first-token pooling through a tanh dense layer, then a linear
 classifier head. Every projection is one `autograd.linear` node (its LoRA
-adapter, when one is attached, rides inside it), a block's attention, all
-kept heads together, is one `autograd.attention` node, and each add&norm,
-the embedding sum's included, is one `autograd.layernorm` node over the
+adapter, when one is attached, and its activation, the FFN's ReLU or the
+pooler's tanh, ride inside it), a block's attention, all kept heads
+together, is one `autograd.attention` node, and each add&norm, the
+embedding sum's included, is one `autograd.layernorm` node over the
 terms it adds. Every attention head output is multiplied by its mask
 scalar before concatenation, so head saliency is one backward pass away.
 
@@ -378,10 +379,10 @@ def forward(
         mha = ag.linear(heads, blk.wo, blk.bo, adapted.get("wo"))
         x = ag.layernorm((rows, mha), blk.ln1_gamma, blk.ln1_beta,
                          cfg.layernorm_eps)
-        up = ag.relu(ag.linear(x, blk.w_up, blk.b_up))
+        up = ag.linear(x, blk.w_up, blk.b_up, act="relu")
         ff = ag.linear(up, blk.w_down, blk.b_down)
         x = ag.layernorm((x, ff), blk.ln2_gamma, blk.ln2_beta,
                          cfg.layernorm_eps)
 
-    pooled = ag.tanh(ag.linear(x, weights.pooler_w, weights.pooler_b))
+    pooled = ag.linear(x, weights.pooler_w, weights.pooler_b, act="tanh")
     return ag.linear(pooled, weights.classifier_w, weights.classifier_b)

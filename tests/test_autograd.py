@@ -133,14 +133,22 @@ def test_layernorm_two_terms_get_separate_grads():
     assert np.array_equal(out.grad, upstream)
 
 
-def test_relu_output_and_gradient():
-    x = Tensor(np.array([-0.0, 0.0, -1.0, 2.0, -5e-324, 5e-324]),
-               requires_grad=True)
-    out = ag.relu(x)
-    # +0.0 wherever the input is not positive, signed zeros included
-    assert out.data.tobytes() == np.array([0.0, 0.0, 0.0, 2.0, 0.0, 5e-324]).tobytes()
+def test_relu_output_and_gradient(monkeypatch):
+    values = np.array([[-0.0, 0.0, -1.0, 2.0, -5e-324, 5e-324]])
+    relu_bytes = np.array([[0.0, 0.0, 0.0, 2.0, 0.0, 5e-324]]).tobytes()
+    x = Tensor(values, requires_grad=True)
+    eye, zeros = Tensor(np.eye(6)), Tensor(np.zeros(6))
+    out = ag.linear(x, eye, zeros, act="relu")
+    # +0.0 wherever the projection is not positive
+    assert out.data.tobytes() == relu_bytes
     ag.backward(weighted_sum(out, np.arange(1.0, 7.0)))
-    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 4.0, 0.0, 6.0])
+    assert np.array_equal(x.grad, [[0.0, 0.0, 0.0, 4.0, 0.0, 6.0]])
+    # a GEMM here starts its sums at +0.0, so no projection above is -0.0;
+    # with the product replaced by its input and a -0.0 bias, the first
+    # output is -0.0 before the ReLU, and +0.0 after it
+    monkeypatch.setattr(ag, "_project", lambda a, w: a.copy())
+    out = ag.linear(values, eye, Tensor(np.full(6, -0.0)), act="relu")
+    assert out.data.tobytes() == relu_bytes
 
 
 def test_tensor_feeding_two_branches(matmul_path):
@@ -399,11 +407,13 @@ def test_embedding_id_out_of_range():
 
 def check_gradients(build, inputs):
     """Every trainable input of `build()` matches finite differences; frozen
-    inputs get no gradient."""
+    inputs get no gradient, and the held output keeps its upstream gradient
+    as it was handed in."""
     rng = np.random.default_rng(0)
     out = build()
     w = rng.uniform(-1, 1, out.data.shape)
     ag.backward(weighted_sum(out, w))
+    assert np.array_equal(out.grad, w)
 
     def f():
         with ag.no_grad():
@@ -438,6 +448,39 @@ def test_linear_with_adapter_gradients(matmul_path, trainable, scaling):
     assert np.abs(out.data - expected).max() < 1e-12
     check_gradients(lambda: ag.linear(t["x"], t["W"], t["b"], adapter),
                     list(t.values()))
+
+
+ACTIVATIONS = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_linear_activation_gradients(matmul_path, act):
+    t = linear_inputs(("x", "W", "b", "A", "B"))
+    adapter = (t["A"], t["B"], 1.5)
+    projection = ag.linear(t["x"], t["W"], t["b"], adapter)
+    out = ag.linear(t["x"], t["W"], t["b"], adapter, act=act)
+    assert out.data.tobytes() == ACTIVATIONS[act](projection.data).tobytes()
+    check_gradients(lambda: ag.linear(t["x"], t["W"], t["b"], adapter, act=act),
+                    list(t.values()))
+
+
+def test_linear_refuses_an_unknown_activation():
+    t = linear_inputs(())
+    for act in ("gelu", "ReLU", "", 0):
+        with pytest.raises(ValueError, match="unknown activation"):
+            ag.linear(t["x"], t["W"], t["b"], act=act)
+
+
+def test_no_grad_linear_activation_allocates_one_output():
+    # the activation runs in place: no second output-sized array, no mask
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.uniform(-1, 1, (32, 10, 64)))
+    W = Tensor(rng.uniform(-1, 1, (64, 256)))
+    b = Tensor(rng.uniform(-1, 1, 256))
+    with ag.no_grad():
+        out, peak = traced_peak(lambda: ag.linear(x, W, b, act="relu"))
+    assert not (out.data < 0).any()
+    assert peak < 1.5 * out.data.nbytes
 
 
 def test_linear_2d_input_gradients():
@@ -598,7 +641,7 @@ def test_backward_quadratic_gives_weights():
 
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ag.relu(w)
+    out = ag.linear(w, Tensor(np.eye(2)), Tensor(np.zeros(2)), act="relu")
     with pytest.raises(ValueError, match="scalar"):
         ag.backward(out)
 
@@ -666,9 +709,9 @@ def test_no_grad_mode_matches_recorded_forward():
     a = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     c = Tensor(np.zeros(3))
-    recorded = ag.relu(ag.linear(a, b, c))
+    recorded = ag.linear(a, b, c, act="relu")
     with ag.no_grad():
-        silent = ag.relu(ag.linear(a, b, c))
+        silent = ag.linear(a, b, c, act="relu")
     assert np.array_equal(recorded.data, silent.data)
     assert silent._backward is None and not silent.requires_grad
 
@@ -687,7 +730,7 @@ def test_determinism_bit_identical_runs():
         a = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-        out = ag.tanh(ag.linear(ag.relu(ag.linear(a, b, c)), b, c))
+        out = ag.linear(ag.linear(a, b, c, act="relu"), b, c, act="tanh")
         ag.backward(weighted_sum(out, rng.uniform(-1, 1, (4, 4))))
         return out.data.copy(), a.grad.copy(), b.grad.copy(), c.grad.copy()
 

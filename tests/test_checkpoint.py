@@ -246,6 +246,35 @@ def test_a_tensor_listed_twice_is_refused(toy_weights, tmp_path):
         checkpoint.load_model(path)
 
 
+def _entry(manifest, name):
+    return next(e for e in manifest["tensors"] if e["name"] == name)
+
+
+# a JSON true or false where an integer is due: (tensor, field, value)
+BOOL_ENTRIES = {
+    "shape true": ("embeddings.type", "shape", [True, 64]),
+    "offset false": ("embeddings.token", "offset", False),
+    "size false": ("block1.wq", "size", False),
+}
+
+
+@pytest.mark.parametrize("read", ["load_model", "read_checkpoint"])
+@pytest.mark.parametrize("edit", sorted(BOOL_ENTRIES))
+def test_a_bool_in_a_manifest_entry_is_refused(toy_weights, tmp_path, edit,
+                                               read):
+    keep = np.ones((4, 4), dtype=bool)
+    keep[1, :] = False  # block1.wq is empty: size 0
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, apply_slice_prune(toy_weights, PrunePlan(keep, 12)))
+    name, field, value = BOOL_ENTRIES[edit]
+    # the bool equals the integer it replaces: only its type gives it away
+    assert _entry(checkpoint.read_checkpoint(path)[0], name)[field] == value
+    path.write_bytes(repack_checkpoint(
+        path, lambda m: _entry(m, name).update({field: value})))
+    with pytest.raises(CheckpointError, match="bad shape, offset or size"):
+        getattr(checkpoint, read)(path)
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_damaged_checkpoint_raises_checkpoint_error(toy_weights, tmp_path,
                                                     damage):

@@ -29,8 +29,8 @@ from prunelora.schema import ConfigError
 def make_map(final, raw=None):
     final = np.asarray(final, dtype=np.float64)
     raw = final if raw is None else np.asarray(raw, dtype=np.float64)
-    return ImportanceMap(raw=raw, l2_normalized=raw, final=final,
-                         token_count=1, sample_size=1, epsilon=1e-12)
+    return ImportanceMap(raw=raw, final=final, token_count=1, sample_size=1,
+                         epsilon=1e-12)
 
 
 def test_dead_head_has_zero_importance(toy_weights, parity_batch):
@@ -203,9 +203,8 @@ def test_ppm_all_ones_is_all_255(tmp_path):
 
 def test_map_invariants_enforced():
     with pytest.raises(ValueError, match="token_count"):
-        ImportanceMap(raw=np.zeros((1, 1)), l2_normalized=np.zeros((1, 1)),
-                      final=np.zeros((1, 1)), token_count=0, sample_size=1,
-                      epsilon=1e-12)
+        ImportanceMap(raw=np.zeros((1, 1)), final=np.zeros((1, 1)),
+                      token_count=0, sample_size=1, epsilon=1e-12)
     with pytest.raises(ValueError, match="non-negative"):
         make_map([[0.5]], raw=[[-1.0]])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
