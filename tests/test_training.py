@@ -670,3 +670,41 @@ def test_invalid_train_config_rejected():
             TrainConfig(**{field: bad})
     TrainConfig(weight_decay=0.0, importance_sample_size=1, keep_count=0,
                 n_high=0, rank_low=1, rank_high=1)
+
+
+def test_benchmark_reference_loss_catches_a_wrong_relu_gradient(monkeypatch):
+    """The benchmark's reference-loss gate (perfbench/reference.py,
+    perfbench/checks.py) matches a correct run and fails one whose FFN
+    ReLU backward drops its mask; the ReLU is reached through
+    `autograd.linear`, the node the model calls for it."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+    import reference
+    from workloads import WORKLOADS
+
+    w = WORKLOADS["toy-train"]
+    ref = checks.load_reference()
+    expected = ref["final_train_loss"][w.name]["full_finetune"]
+    report, _, _ = reference.reference_run(w, "full_finetune")
+    assert checks.loss_matches_reference(report.train_loss[-1], expected,
+                                         ref["rtol"])[0]
+
+    project = ag.linear
+
+    def linear_relu_without_mask(x, W, b, adapter=None, act=None):
+        if act != "relu":
+            return project(x, W, b, adapter, act)
+        h = project(x, W, b, adapter)
+
+        def bwd(g):
+            h.accumulate_grad(g)
+
+        return ag._from_op(np.maximum(h.data, 0.0), (h,), bwd)
+
+    monkeypatch.setattr(ag, "linear", linear_relu_without_mask)
+    broken, _, _ = reference.reference_run(w, "full_finetune")
+    assert not checks.loss_matches_reference(broken.train_loss[-1], expected,
+                                             ref["rtol"])[0]
