@@ -31,7 +31,7 @@ views of one flat buffer, and their gradients land in a matching buffer.
 `linear` writes dW, db, dA and dB and `layernorm` dgamma and dbeta
 straight into a parameter's slot there (`out=`), `embedding` scatters
 into it, and any other first contribution is copied in, so an optimizer
-updates a whole arena as one array and no step copies a parameter.
+updates runs of arena tensors as one array and copies no parameter.
 
 A transformer block is built from two fused ops, one graph node each:
 
@@ -225,8 +225,8 @@ class Arena:
     closures write a first contribution there with `out=`, and
     `accumulate_grad` copies any other first contribution in, so `.grad`
     of an arena tensor is its slot until zeroed. The slots are disjoint, so
-    no gradient aliases another. An optimizer can then update every tensor
-    of an arena as one array (`training.AdamW`). The gradient buffer is
+    no gradient aliases another. An optimizer can then update adjacent
+    tensors of an arena as one array (`training.AdamW`). `grad` is
     allocated with the first gradient or optimizer (`slots`), so weights
     that are only read hold none. An arena tensor's `.data` is updated in
     place, never rebound. A tensor refers to its arena, and an arena to

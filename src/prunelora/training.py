@@ -9,6 +9,7 @@ under the same freeze policy.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -155,34 +156,39 @@ ADAMW_EPS = 1e-8
 class AdamW:
     """Adam with decoupled weight decay applied before the moment update.
 
-    `step` updates arrays in place, one block of whole first-axis rows at a
+    The parameters are grouped by storage into units: an arena
+    (`autograd.Arena`) with whichever of its tensors are parameters, in
+    arena order, or a parameter that owns its array. Each unit has one
+    array per moment in its storage's shape (an arena's flat buffer, its
+    zero padding included). A step turns every unit into spans and updates
+    each span the same way:
+    - an arena yields one flat span of its buffer, its gradient buffer and
+      its moments per run of adjacent parameters that have a gradient. The
+      engine leaves each arena tensor's `.grad` in its slot of the gradient
+      buffer; a gradient assigned by hand is copied into the slot first;
+    - a parameter that owns its array yields itself, its gradient and its
+      moments, with its live-row mask (below).
+
+    A span is updated in place, one block of whole first-axis rows at a
     time: as many rows as fit in `ADAMW_CHUNK` elements, at least one (a
-    0-d tensor is one block). An arena (`autograd.Arena`) whose every
-    tensor is a parameter, listed in arena order, is one flat array (its
-    zero padding included), with its gradient buffer as gradient and one
-    buffer per moment; every other parameter is an array of its own. The
-    blocks are views, so a tensor in any memory layout is updated in
-    place. Two scratch arrays, sized to the largest block, are
-    allocated once with the optimizer, together with each block's views of
-    them; a step allocates no array. Every operation is elementwise and
-    runs in the same order on every block, so the result has the same bits
-    however the parameters are split or joined. The moments start as
-    `np.zeros`, so large ones are mapped lazily rather than filled.
+    0-d span is one block). The blocks are views, so an array in any memory
+    layout is updated in place. Two scratch arrays, sized to the largest
+    block, are allocated once with the optimizer, as are the arenas'
+    gradient buffers; a step allocates no array. Every operation is
+    elementwise and runs in the same order on every block, so the result
+    has the same bits however the parameters are split or joined. The
+    moments start as `np.zeros`, so large ones are mapped lazily rather
+    than filled. A gradient whose shape is not its parameter's is refused
+    (ValueError).
 
-    An arena's gradient is its buffer when each of its tensors' `.grad` is
-    its slot there, as the engine leaves it; a gradient assigned by hand is
-    copied into the slot first. If some of its tensors have no gradient,
-    each tensor that has one is updated on its own range. A gradient whose
-    shape is not its parameter's is refused (ValueError).
-
-    A tensor outside an arena whose gradients come only from `embedding`
-    lookups (`Tensor.grad_rows`) is tracked by row. A row that has never
-    had a gradient has zero moments, so its full update is exactly the
-    decay `p *= 1 - lr*wd`: a block that holds no row looked up so far (no
-    live row) gets only the decay, every other block the full update. Bits,
-    moments included, are those of the dense update, and the moment pages
-    of blocks without a live row are never touched. A gradient without a
-    row set makes the tensor dense from then on.
+    A parameter that owns its array and whose gradients come only from
+    `embedding` lookups (`Tensor.grad_rows`) is tracked by row. A row that
+    has never had a gradient has zero moments, so its full update is
+    exactly the decay `p *= 1 - lr*wd`: a block that holds no row looked up
+    so far (no live row) gets only the decay, every other block the full
+    update. Bits, moments included, are those of the dense update, and the
+    moment pages of blocks without a live row are never touched. A
+    gradient without a row set makes the tensor dense from then on.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
@@ -190,40 +196,27 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        members = {}
+        units = {}
         for p in self.params:
-            if p.arena is not None:
-                members.setdefault(id(p.arena), []).append(p)
-        # arenas whose every tensor is a parameter, listed in arena order;
-        # their gradient buffers are allocated here if no backward did yet
-        joined = {k: ts for k, ts in members.items()
-                  if len(ts) == len(ts[0].arena.views)
-                  and all(t.data is v for t, v in zip(ts, ts[0].arena.views))}
-        for tensors in joined.values():
-            tensors[0].arena.slots()
-        # what a step updates, in order: (parameter, None), or (None, its
-        # tensors) for a joined arena
-        self.units = []
-        for p in self.params:
-            tensors = joined.get(id(p.arena))
-            if tensors is None:
-                self.units.append((p, None))
-            elif p is tensors[0]:
-                self.units.append((None, tensors))
-        shapes = [(p.data if ts is None else ts[0].arena.data).shape
-                  for p, ts in self.units]
-        self.m = [np.zeros(shape) for shape in shapes]
-        self.v = [np.zeros(shape) for shape in shapes]
+            units.setdefault(id(p.arena or p), []).append(p)
+        # per unit, the parameters of one storage, an arena's in arena order;
+        # an arena's gradient buffer is allocated here if no backward did yet
+        self.units = list(units.values())
+        arrays = []
+        for ts in self.units:
+            if ts[0].arena is not None:
+                ts.sort(key=lambda t: t._arena_index)
+                ts[0].arena.slots()
+            arrays.append((ts[0].arena or ts[0]).data)
+        self.m = [np.zeros(a.shape) for a in arrays]
+        self.v = [np.zeros(a.shape) for a in arrays]
         # per unit, which rows have had a gradient; None once dense (an
         # arena is dense from the start)
-        self.live = [np.zeros(shape[:1], dtype=bool) if ts is None else None
-                     for (_, ts), shape in zip(self.units, shapes)]
-        cuts = [_row_blocks(shape) for shape in shapes]
-        size = max((math.prod(b) for bs in cuts for _, b in bs), default=0)
+        self.live = [None if ts[0].arena else np.zeros(a.shape[:1], dtype=bool)
+                     for ts, a in zip(self.units, arrays)]
+        size = max((math.prod(b) for a in arrays
+                    for _, b in _row_blocks(a.shape, ADAMW_CHUNK)), default=0)
         self.scratch = np.empty(size), np.empty(size)
-        # per unit, each block and its two scratch views in its shape
-        self.blocks = [[(c, *(s[:math.prod(b)].reshape(b) for s in self.scratch))
-                        for c, b in bs] for bs in cuts]
 
     def step(self):
         self.t += 1
@@ -240,65 +233,53 @@ class AdamW:
                 raise ValueError(
                     f"parameter {j}: gradient shape {g.shape} differs from "
                     f"the parameter's {param.data.shape}")
-        for k, (param, tensors) in enumerate(self.units):
-            m, v = self.m[k], self.v[k]
-            if tensors is not None:
-                arena = tensors[0].arena
-                if not self._gather(tensors):
-                    self._update_ranges(tensors, m, v, eps, scale)
-                    continue
-                p, g = arena.data, arena.grad
-            else:
-                p, g = param.data, param.grad
-                if g is None:
-                    continue
-                live, rows = self.live[k], param.grad_rows
-                if live is None or rows is None:
-                    self.live[k] = None
-                else:
-                    live |= rows
-            live = self.live[k]
-            for c, s1, s2 in self.blocks[k]:
-                if live is None or live[c].any():
-                    self._update(p[c], g[c], m[c], v[c], s1, s2, eps, scale)
-                elif self.weight_decay:
-                    self._decay(p[c])
+        for k in range(len(self.units)):
+            for p, g, m, v, live in self._spans(k):
+                for c, _ in _row_blocks(p.shape, ADAMW_CHUNK):
+                    if live is None or live[c].any():
+                        self._update(p[c], g[c], m[c], v[c], eps, scale)
+                    elif self.weight_decay:
+                        self._decay(p[c])
 
-    @staticmethod
-    def _gather(tensors):
-        """Copy each gradient of a joined arena's tensors that is not in
-        its slot there; whether every tensor has a gradient."""
-        complete = True
-        for t, slot in zip(tensors, tensors[0].arena.slots()):
-            g = t.grad
-            if g is None:
-                complete = False
-            elif g is not slot:
-                np.copyto(slot, g)
-        return complete
-
-    def _update_ranges(self, tensors, m, v, eps, scale):
-        """Update each of a joined arena's tensors that has a gradient (in
-        its slot) on its own range of the flat arrays, in blocks of at most
-        ADAMW_CHUNK elements."""
+    def _spans(self, k):
+        """Unit k's spans this step, each as (param, grad, m, v, live rows
+        or None): the runs of an arena, or a parameter that owns its array
+        and has a gradient."""
+        tensors, m, v = self.units[k], self.m[k], self.v[k]
         arena = tensors[0].arena
-        s1, s2 = self.scratch
-        for t, a, b in zip(tensors, arena.bounds, arena.bounds[1:]):
-            if t.grad is None:
+        if arena is None:
+            p = tensors[0]
+            if p.grad is not None:
+                if p.grad_rows is None:
+                    self.live[k] = None
+                elif self.live[k] is not None:
+                    self.live[k] |= p.grad_rows
+                yield p.data, p.grad, m, v, self.live[k]
+            return
+        # each run as [start, end) of the arena's buffer
+        runs, slots, bounds = [], arena.slots(), arena.bounds
+        for t in tensors:
+            g, i = t.grad, t._arena_index
+            if g is None:
                 continue
-            for c, (n,) in _row_blocks((b - a,)):
-                c = slice(a + c.start, a + c.start + n)
-                self._update(arena.data[c], arena.grad[c], m[c], v[c],
-                             s1[:n], s2[:n], eps, scale)
+            if g is not slots[i]:
+                np.copyto(slots[i], g)
+            if runs and runs[-1][1] == bounds[i]:
+                runs[-1][1] = bounds[i + 1]
+            else:
+                runs.append([bounds[i], bounds[i + 1]])
+        for a, b in runs:
+            yield arena.data[a:b], arena.grad[a:b], m[a:b], v[a:b], None
 
-    def _update(self, p, g, m, v, s1, s2, eps, scale):
+    def _update(self, p, g, m, v, eps, scale):
         """The update below, in 13 passes, in place on p, m and v through
-        s1 and s2:
+        views s1 and s2 of the scratch arrays:
             p *= 1 - lr*wd
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             p -= m / ((sqrt(v) + eps) * scale)
         with `eps` and `scale` the step's folded scalars (see `step`).
         """
+        s1, s2 = (s[:p.size].reshape(p.shape) for s in self.scratch)
         if self.weight_decay:
             self._decay(p)
         m *= ADAMW_BETA1
@@ -322,15 +303,16 @@ class AdamW:
             p.zero_grad()
 
 
-def _row_blocks(shape) -> list:
+@functools.cache
+def _row_blocks(shape, chunk) -> tuple:
     """AdamW's blocks of an array of `shape`, each as (index, its shape):
-    slices of as many whole first-axis rows as fit in `ADAMW_CHUNK`
-    elements, at least one row, or `...` for a 0-d array."""
+    slices of as many whole first-axis rows as fit in `chunk` elements, at
+    least one row, or `...` for a 0-d array."""
     if not shape:
-        return [(..., ())]
-    rows = max(1, ADAMW_CHUNK // max(1, math.prod(shape[1:])))
-    return [(slice(i, i + rows), (min(rows, shape[0] - i), *shape[1:]))
-            for i in range(0, shape[0], rows)]
+        return ((..., ()),)
+    rows = max(1, chunk // max(1, math.prod(shape[1:])))
+    return tuple((slice(i, i + rows), (min(rows, shape[0] - i), *shape[1:]))
+                 for i in range(0, shape[0], rows))
 
 
 def predict(
@@ -391,8 +373,13 @@ def train(
 
     Trainables are exactly the tensors whose requires_grad is set (see
     freeze_policy). Aborts with TrainingDiverged if the loss goes
-    non-finite.
+    non-finite. An empty eval split, or an empty training split with
+    `epochs >= 1`, is refused (ValueError).
     """
+    if eval_data.size == 0:
+        raise ValueError("training needs a non-empty eval split")
+    if train_data.size == 0 and config.epochs >= 1:
+        raise ValueError("training needs a non-empty training split")
     all_tensors = weights.all_tensors() + (adapters.all_tensors() if adapters else [])
     trainable = [t for t in all_tensors if t.requires_grad]
     opt = AdamW(trainable, lr=config.learning_rate,

@@ -455,25 +455,42 @@ def arena_and_alone(weights):
 
 @pytest.mark.parametrize("wd", [0.0, 0.1])
 def test_adamw_over_arenas_matches_adamw_per_tensor(toy_config, wd):
-    """An arena is one flat array to AdamW; the bits are those of one update
-    per tensor, also on steps where some tensors have no gradient (each
-    tensor with one is then updated on its own range), and after a
-    gradient was assigned by hand (copied into its slot)."""
+    """An arena's parameters are updated as flat runs of adjacent tensors
+    with a gradient; the bits are those of one update per tensor, also on
+    steps where some tensors have no gradient, after a gradient was
+    assigned by hand (copied into its slot), and when only part of an
+    arena is in the parameter list, out of arena order: the tensors left
+    out stay as they were, though their slots hold gradients."""
     rng = np.random.default_rng(15)
-    joined, alone = arena_and_alone(init_weights(toy_config, seed=0))
-    opts = [AdamW(ps, lr=1e-2, weight_decay=wd) for ps in (joined, alone)]
-    # three arenas (base, LayerNorm, classifier), each one unit
-    assert [a is not None for _, a in opts[0].units] == [True] * 3
-    assert all(a is None for _, a in opts[1].units)
+    weights = init_weights(toy_config, seed=0)
+    names = [name for name, _ in weights.named_tensors()]
+    joined, alone = arena_and_alone(weights)
+    whole = freeze_policy(weights.clone(), None, "full_finetune")
+    before = [p.data.copy() for p in whole]
+    # LayerNorms of blocks 0 and 2 and the classifier bias: gaps, two
+    # arenas, listed in reverse
+    picked = [i for i, name in enumerate(names)
+              if name.startswith(("block0.ln", "block2.ln"))
+              or name == "classifier.b"]
+    part = [whole[i] for i in reversed(picked)]
+    opts = [AdamW(ps, lr=1e-2, weight_decay=wd) for ps in (joined, alone, part)]
+    # three arenas (base, LayerNorm, classifier), each one unit of all its
+    # tensors; per tensor, one unit each; the part, one unit per arena, in
+    # the order the list first names it, with its tensors in arena order
+    assert [len(ts) == len(ts[0].arena.views) for ts in opts[0].units] == [True] * 3
+    assert opts[1].units == [[p] for p in alone]
+    assert opts[2].units == [[part[0]], [whole[i] for i in picked[:-1]]]
     for step in range(4):
         grads = [rng.normal(size=p.data.shape) for p in joined]
         skipped = set(rng.choice(len(joined), size=5)) if step == 2 else set()
-        for ps in (joined, alone):
+        if step == 2:
+            skipped.add(names.index("block0.ln2_gamma"))  # splits a run
+        for ps in (joined, alone, whole):
             for i, (p, g) in enumerate(zip(ps, grads)):
                 p.zero_grad()
                 if i in skipped:
                     continue
-                if step == 3 and i == 0:
+                if step == 3 and i in (0, picked[0]):
                     p.grad = g  # by hand, not in its slot
                 else:
                     p.accumulate_grad(g)
@@ -482,6 +499,9 @@ def test_adamw_over_arenas_matches_adamw_per_tensor(toy_config, wd):
             opt.step()
         for i, (a, b) in enumerate(zip(joined, alone)):
             assert np.array_equal(a.data, b.data), (step, i)
+        for i, (p, b) in enumerate(zip(whole, before)):
+            expected = alone[i].data if i in picked else b
+            assert np.array_equal(p.data, expected), (step, names[i])
 
 
 def test_adamw_step_copies_no_engine_gradient(toy_config, parity_batch):
@@ -555,6 +575,24 @@ def test_zero_epochs_reports_initial_eval_only(toy_config):
     assert report.train_loss == []
     for t, orig in zip(weights.all_tensors(), before):
         assert np.array_equal(t.data, orig)
+
+
+def test_training_refuses_an_empty_split(toy_config):
+    train_data, eval_data = small_task(train_size=32, eval_size=32)
+    empty = train_data.take(slice(0, 0))
+    weights = init_weights(toy_config, seed=0)
+    freeze_policy(weights, None, "full_finetune")
+    cfg = TrainConfig(regime="full_finetune", epochs=1, learning_rate=1e-3,
+                      batch_size=32, seed=0)
+    with pytest.raises(ValueError, match="non-empty training split"):
+        train(weights, cfg, empty, eval_data, log=None)
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match="non-empty eval split"):
+            train(weights, replace(cfg, epochs=epochs), train_data, empty,
+                  log=None)
+    # no epoch reads the training split
+    report = train(weights, replace(cfg, epochs=0), empty, eval_data, log=None)
+    assert report.step_count == 0 and report.train_loss == []
 
 
 def test_loss_decreases_on_learnable_task(toy_config):
