@@ -15,12 +15,12 @@ seed and output directory. The config is an object with these keys:
               default to the model's and the run's)
   tsv         train, eval: paths of label<TAB>text files, used when there
               is no task section
-  importance  sample_size, epsilon; the importance command and train's
+  importance  sample_size; the importance command and train's
               lora/prune_lora regimes estimate in batches of
               train.batch_size, so they compute the same map. A
               batch_size key, if given, must equal train.batch_size
-  prune       keep_count
-  rank        n_high, rank_high, rank_low
+  prune       keep_count, at most model.num_layers * model.num_heads
+  rank        n_high (at most model.num_layers), rank_high, rank_low
   train       regime, epochs, learning_rate, weight_decay, batch_size,
               eval_every, seed (default: the run seed)
 
@@ -73,8 +73,7 @@ class RunConfig:
 # (owner, field)}, where owner "train" is TrainConfig and "run" RunConfig.
 # The train section takes every TrainConfig field no other section claims.
 KNOB_SECTIONS = {
-    "importance": {"sample_size": ("train", "importance_sample_size"),
-                   "epsilon": ("train", "importance_epsilon")},
+    "importance": {"sample_size": ("train", "importance_sample_size")},
     "prune": {"keep_count": ("train", "keep_count")},
     "rank": {key: ("train", key) for key in ("n_high", "rank_high", "rank_low")},
     "tsv": {"train": ("run", "tsv_train"), "eval": ("run", "tsv_eval")},
@@ -154,6 +153,15 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
             f"importance.batch_size {importance_batch} != train.batch_size "
             f"{rc.train.batch_size}: importance is estimated in training batches"
         )
+    # a set n_high only: the default (4) may exceed a model that has no
+    # adapters to plan, and report then says it leaves the lora row out
+    if owners["train"].get("n_high", 0) > model.num_layers:
+        raise ConfigError(f"config section 'rank': n_high must be <= the "
+                          f"model's {model.num_layers} blocks, got {rc.train.n_high}")
+    heads = model.num_layers * model.num_heads
+    if (rc.train.keep_count or 0) > heads:
+        raise ConfigError(f"config section 'prune': keep_count must be <= the "
+                          f"model's {heads} heads, got {rc.train.keep_count}")
     # data-less configs are fine for report/prune/merge
     if task is None and raw.get("tsv") is not None:
         if not rc.tsv_train or not rc.tsv_eval:
@@ -198,6 +206,7 @@ def _outdir(args, rc: RunConfig | None = None) -> Path:
 
 
 # importance_meta.json key -> annotation; `prune` reads the file against it
+# ("epsilon" only so that files of earlier versions load: none is written)
 IMPORTANCE_META_TYPES = {"digest": "str", "model_digest": "str",
                          "token_count": "int", "sample_size": "int",
                          "epsilon": "float", "shape": "list[int]"}
@@ -208,7 +217,6 @@ def _write_importance_meta(out: Path, imap, **extra) -> None:
         "digest": imap.digest(),
         "token_count": imap.token_count,
         "sample_size": imap.sample_size,
-        "epsilon": imap.epsilon,
         "shape": list(imap.shape),
         **extra,
     })
@@ -377,7 +385,7 @@ def cmd_report(args) -> int:
         ranks = [rc.train.rank_high] * rc.train.n_high + \
             [rc.train.rank_low] * (cfg.num_layers - rc.train.n_high)
         adapter_rep = accounting.count_params(cfg, rank_plan=ranks,
-                                             seq_len=seq_len)
+                                              seq_len=seq_len)
         payload["lora"] = adapter_rep.to_dict()
         rows.append(("lora", adapter_rep))
         note = (
@@ -394,6 +402,9 @@ def cmd_report(args) -> int:
                 f"figures are not derivable from it)"
             )
         notes.append(note)
+    else:
+        notes.append(f"no lora row: the default rank.n_high {rc.train.n_high} "
+                     f"exceeds the model's {cfg.num_layers} blocks")
 
     if rc.train.keep_count is not None:
         pruned = accounting.count_params(cfg, prune_plan=rc.train.keep_count,

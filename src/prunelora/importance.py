@@ -3,7 +3,7 @@
 One backward pass per batch delivers d(loss)/d(mask scalar) for every head
 at the evaluation point mask=1. Absolute gradients are accumulated over a
 data sample, divided by the total number of non-padding tokens, then
-normalized: global L2 over all L*H entries, then global min-max onto [0,1].
+min-maxed over all L*H entries onto [0,1] (which no rescaling changes).
 Model weights stay gradient-disabled during estimation; only the mask
 scalars carry gradients.
 """
@@ -20,17 +20,15 @@ from .data import TokenBatch, batches
 from .model import HeadMask, TransformerWeights, forward
 from .schema import ConfigError
 
-DEFAULT_EPSILON = 1e-12
 DEFAULT_SAMPLE_SIZE = 512
 
 
 @dataclass
 class ImportanceMap:
     raw: np.ndarray    # (L, H) mean |d loss / d mask| per token
-    final: np.ndarray  # raw / (global L2 norm + epsilon), min-max onto [0, 1]
+    final: np.ndarray  # raw, global min-max onto [0, 1]
     token_count: int
     sample_size: int
-    epsilon: float
 
     def __post_init__(self):
         if self.token_count <= 0:
@@ -87,13 +85,6 @@ def estimate_raw_importance(
     return acc / token_count, token_count
 
 
-def l2_normalize(raw: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Divide by the L2 norm of the flattened matrix (plus epsilon)."""
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    return raw / (np.sqrt((raw * raw).sum()) + epsilon)
-
-
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
     """Global min-max onto [0, 1]; a constant matrix maps to all zeros."""
     lo, hi = x.min(), x.max()
@@ -106,10 +97,9 @@ def estimate_importance(
     weights: TransformerWeights,
     sample: TokenBatch,
     batch_size: int = 32,
-    epsilon: float = DEFAULT_EPSILON,
     sample_size: int | None = None,
 ) -> ImportanceMap:
-    """Full pipeline: raw accumulation, L2 normalization, min-max."""
+    """Full pipeline: raw accumulation, then min-max."""
     if sample_size is not None:
         if sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
@@ -117,10 +107,9 @@ def estimate_importance(
     raw, token_count = estimate_raw_importance(weights, sample, batch_size)
     return ImportanceMap(
         raw=raw,
-        final=minmax_normalize(l2_normalize(raw, epsilon)),
+        final=minmax_normalize(raw),
         token_count=token_count,
         sample_size=sample.size,
-        epsilon=epsilon,
     )
 
 

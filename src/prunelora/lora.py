@@ -54,10 +54,14 @@ def make_rank_plan(
 ) -> RankPlan:
     """Give the n_high most important blocks rank_high, the rest rank_low.
 
-    Ties break toward giving the lower block index the higher rank.
+    Ties break toward giving the lower block index the higher rank; a
+    non-finite importance raises ValueError naming its block.
     """
     imp = [float(v) for v in block_importance]
     num_layers = len(imp)
+    for l, v in enumerate(imp):
+        if not np.isfinite(v):
+            raise ValueError(f"importance of block {l} is not finite: {v}")
     if not (0 <= n_high <= num_layers):
         raise ValueError(f"n_high {n_high} out of range [0, {num_layers}]")
     if not (rank_high >= rank_low >= 1):

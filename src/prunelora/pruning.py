@@ -52,7 +52,8 @@ def select_heads(importance, keep_count: int, digest: str | None = None) -> Prun
     """Keep the `keep_count` highest-importance heads.
 
     Ties break toward keeping the lower (layer, head) index. `importance`
-    is an ImportanceMap or a bare (L, H) score matrix.
+    is an ImportanceMap or a bare (L, H) score matrix; a score that is not
+    finite raises ValueError naming its (layer, head).
     """
     if hasattr(importance, "final"):
         final = importance.final
@@ -61,6 +62,9 @@ def select_heads(importance, keep_count: int, digest: str | None = None) -> Prun
     else:
         final = np.asarray(importance, dtype=np.float64)
     num_layers, num_heads = final.shape
+    if not np.isfinite(final).all():
+        l, h = np.argwhere(~np.isfinite(final))[0]
+        raise ValueError(f"importance of head ({l}, {h}) is not finite")
     total = num_layers * num_heads
     if not (0 <= keep_count <= total):
         raise ValueError(f"keep_count {keep_count} out of range [0, {total}]")

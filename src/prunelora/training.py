@@ -19,7 +19,6 @@ import numpy as np
 from . import autograd as ag
 from .data import TokenBatch, batches
 from .importance import (
-    DEFAULT_EPSILON,
     DEFAULT_SAMPLE_SIZE,
     ImportanceMap,
     block_importance,
@@ -52,7 +51,6 @@ class TrainConfig(Record):
     rank_high: int = 8
     rank_low: int = 4
     importance_sample_size: int = DEFAULT_SAMPLE_SIZE
-    importance_epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -68,9 +66,6 @@ class TrainConfig(Record):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not self.importance_epsilon > 0:
-            raise ValueError("importance_epsilon must be > 0, "
-                             f"got {self.importance_epsilon}")
         if self.importance_sample_size < 1:
             raise ValueError("importance_sample_size must be >= 1, "
                              f"got {self.importance_sample_size}")
@@ -447,7 +442,6 @@ def regime_importance(weights: TransformerWeights, config: TrainConfig,
     return estimate_importance(
         weights, data,
         batch_size=config.batch_size,
-        epsilon=config.importance_epsilon,
         sample_size=config.importance_sample_size,
     )
 

@@ -147,7 +147,7 @@ def write_config(path, **overrides):
                   "num_classes": 2},
         "task": {"kind": "parity", "seq_len": 8, "train_size": 96,
                  "eval_size": 64},
-        "importance": {"sample_size": 64, "batch_size": 32, "epsilon": 1e-12},
+        "importance": {"sample_size": 64, "batch_size": 32},
         "prune": {"keep_count": 12},
         "rank": {"n_high": 2, "rank_high": 8, "rank_low": 4},
         "train": {"regime": "prune_lora", "epochs": 2, "learning_rate": 2e-3,

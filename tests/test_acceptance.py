@@ -37,7 +37,7 @@ from prunelora.accounting import (
 from prunelora.autograd import Tensor
 from prunelora.cli import main
 from prunelora.data import batches
-from prunelora.importance import estimate_raw_importance, l2_normalize, minmax_normalize
+from prunelora.importance import estimate_raw_importance, minmax_normalize
 from prunelora.training import predict
 
 from conftest import write_config
@@ -149,14 +149,14 @@ def test_criterion_5_normalization_invariants():
         raw = rng.uniform(0, rng.uniform(0.1, 10), (4, 4))
         if trial % 7 == 0:
             raw = np.full((4, 4), raw[0, 0])  # degenerate: constant map
-        final = minmax_normalize(l2_normalize(raw))
+        final = minmax_normalize(raw)
         assert final.min() >= 0.0 and final.max() <= 1.0
         if raw.max() > raw.min():
             assert final.min() == 0.0 and final.max() == 1.0
         else:
             assert np.all(final == 0.0)
         scale = float(rng.uniform(1e-3, 1e3))
-        rescaled = minmax_normalize(l2_normalize(scale * raw))
+        rescaled = minmax_normalize(scale * raw)
         assert np.abs(final - rescaled).max() < 1e-12
     return "100 maps"
 

@@ -37,7 +37,7 @@ def test_importance_command_outputs(config_path, tmp_path):
     meta = json.loads((out / "importance_meta.json").read_text())
     assert meta["token_count"] > 0
     assert meta["sample_size"] == 64
-    assert meta["epsilon"] == 1e-12
+    assert "epsilon" not in meta
     assert len(meta["digest"]) == 64
     assert (out / "importance.ppm").read_bytes().startswith(b"P6\n4 4\n255\n")
     assert (out / "model.ckpt").exists()
@@ -436,6 +436,22 @@ def test_malformed_importance_meta_exits_2(config_path, tmp_path, capsys,
     assert not (tmp_path / "pruned" / "pruned.ckpt").exists()
 
 
+def test_prune_reads_an_importance_meta_with_the_old_epsilon_entry(
+        config_path, tmp_path):
+    """Earlier versions wrote "epsilon": 1e-12 into importance_meta.json;
+    prune still accepts such a file (and ignores the entry)."""
+    imp = tmp_path / "imp"
+    assert run("importance", "--config", config_path, "--out", imp) == 0
+    meta_path = imp / "importance_meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                     "epsilon": 1e-12}))
+    assert run("prune", "--config", config_path,
+               "--checkpoint", imp / "model.ckpt",
+               "--importance", imp / "importance.csv",
+               "--out", tmp_path / "pruned") == 0
+    assert (tmp_path / "pruned" / "pruned.ckpt").exists()
+
+
 @pytest.mark.parametrize("meta", [None, "no digest"], ids=repr)
 def test_importance_meta_without_digest_exits_2(config_path, tmp_path, capsys,
                                                 meta):
@@ -550,6 +566,29 @@ def test_report_reference_dry_run_values(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "101.29" in stdout and "100,823,040" in stdout
     assert "308.7" in stdout
+
+
+def test_report_says_when_the_default_n_high_leaves_the_lora_row_out(
+        tmp_path, capsys):
+    """A 2-layer model with no rank section keeps the default n_high of 4:
+    report still runs, and says why it has no lora row. Setting that
+    n_high is refused."""
+    model = dict(num_layers=2, num_heads=2, hidden=8, ffn_dim=16,
+                 vocab_size=13, max_positions=8)
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps({"model": model}), encoding="utf-8")
+    out = tmp_path / "rep"
+    assert run("report", "--config", cfg_path, "--out", out, "--dry-run") == 0
+    payload = json.loads((out / "params_report.json").read_text())
+    assert "lora" not in payload
+    assert "no lora row: the default rank.n_high 4 exceeds the model's 2 " \
+        "blocks" in payload["notes"]
+    assert "no lora row" in capsys.readouterr().out
+    cfg_path.write_text(json.dumps({"model": model, "rank": {"n_high": 4}}),
+                        encoding="utf-8")
+    assert run("report", "--config", cfg_path, "--out", tmp_path / "x",
+               "--dry-run") == 2
+    assert "n_high must be <= the model's 2 blocks" in capsys.readouterr().err
 
 
 def test_report_checkpoint_walk(config_path, tmp_path):
@@ -688,12 +727,13 @@ BAD_CONFIGS = {
     "train": {"train": [1]},
     "rank.n_high": {"rank": {"n_high": "2"}},
     "importance.batch_size": {"importance": {"batch_size": 3.5}},
+    "importance.epsilon": {"importance": {"epsilon": 1e-12}},  # removed key
 }
 
 
 # case -> (config key, the JSON literal written for it); `json` reads each
 NON_FINITE_FLOATS = {
-    "importance.epsilon NaN": ("importance.epsilon", "NaN"),
+    "train.weight_decay NaN": ("train.weight_decay", "NaN"),
     "train.learning_rate NaN": ("train.learning_rate", "NaN"),
     "train.weight_decay -Infinity": ("train.weight_decay", "-Infinity"),
     "model.init_std 1e400": ("model.init_std", "1e400"),
@@ -725,6 +765,9 @@ OUT_OF_RANGE = {
     "rank.n_high -1": ("rank.n_high", -1, "n_high"),
     "rank.rank_low 0": ("rank.rank_low", 0, "rank_low"),
     "rank.rank_high 3": ("rank.rank_high", 3, "rank_high"),
+    # beyond the toy model's 4 blocks of 4 heads
+    "rank.n_high 5": ("rank.n_high", 5, "n_high"),
+    "prune.keep_count 17": ("prune.keep_count", 17, "keep_count"),
 }
 
 

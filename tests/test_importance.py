@@ -18,7 +18,6 @@ from prunelora.importance import (
     estimate_raw_importance,
     export_importance,
     import_importance_csv,
-    l2_normalize,
     matrix_to_csv,
     minmax_normalize,
     write_ppm,
@@ -29,8 +28,7 @@ from prunelora.schema import ConfigError
 def make_map(final, raw=None):
     final = np.asarray(final, dtype=np.float64)
     raw = final if raw is None else np.asarray(raw, dtype=np.float64)
-    return ImportanceMap(raw=raw, final=final, token_count=1, sample_size=1,
-                         epsilon=1e-12)
+    return ImportanceMap(raw=raw, final=final, token_count=1, sample_size=1)
 
 
 def test_dead_head_has_zero_importance(toy_weights, parity_batch):
@@ -112,23 +110,6 @@ def test_estimate_is_deterministic(toy_weights, parity_batch):
 # normalization
 
 
-def test_l2_normalize_all_zero_stays_zero():
-    assert np.array_equal(l2_normalize(np.zeros((2, 3))), np.zeros((2, 3)))
-
-
-def test_l2_normalize_single_entry_near_one():
-    raw = np.zeros((2, 2))
-    raw[1, 0] = 7.0
-    out = l2_normalize(raw)
-    assert out[1, 0] == pytest.approx(1.0, abs=1e-9)
-    assert out[0, 0] == 0.0
-
-
-def test_l2_normalize_three_four_five():
-    out = l2_normalize(np.array([[3.0, 4.0]]))
-    assert np.abs(out - [[0.6, 0.8]]).max() < 1e-9
-
-
 def test_minmax_degenerate_goes_to_zero():
     assert np.array_equal(minmax_normalize(np.full((1, 3), 0.2)),
                           np.zeros((1, 3)))
@@ -143,9 +124,14 @@ def test_minmax_invariant_under_positive_scaling():
     for _ in range(20):
         raw = rng.uniform(0, 5, (4, 4))
         scale = float(rng.uniform(0.01, 100))
-        base = minmax_normalize(l2_normalize(raw))
-        scaled = minmax_normalize(l2_normalize(scale * raw))
+        base = minmax_normalize(raw)
+        scaled = minmax_normalize(scale * raw)
         assert np.abs(base - scaled).max() < 1e-12
+
+
+def test_final_map_is_the_minmax_of_the_raw_map(toy_weights, parity_batch):
+    imap = estimate_importance(toy_weights, parity_batch.slice(0, 16))
+    assert np.array_equal(imap.final, minmax_normalize(imap.raw))
 
 
 def test_final_map_attains_zero_and_one(toy_weights, parity_batch):
@@ -204,7 +190,7 @@ def test_ppm_all_ones_is_all_255(tmp_path):
 def test_map_invariants_enforced():
     with pytest.raises(ValueError, match="token_count"):
         ImportanceMap(raw=np.zeros((1, 1)), final=np.zeros((1, 1)),
-                      token_count=0, sample_size=1, epsilon=1e-12)
+                      token_count=0, sample_size=1)
     with pytest.raises(ValueError, match="non-negative"):
         make_map([[0.5]], raw=[[-1.0]])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -219,21 +205,9 @@ def test_map_rejects_non_finite_values(value):
         make_map([[value]], raw=[[0.5]])
 
 
-@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
-def test_l2_normalize_needs_a_finite_epsilon(epsilon):
-    with pytest.raises(ValueError, match="epsilon"):
-        l2_normalize(np.ones((2, 2)), epsilon)
-
-
 @pytest.mark.parametrize("sample_size", [0, -3])
 def test_estimate_importance_refuses_a_sample_size_below_one(
         toy_weights, parity_batch, sample_size):
     with pytest.raises(ValueError, match="sample_size"):
         estimate_importance(toy_weights, parity_batch.slice(0, 16),
                             sample_size=sample_size)
-
-
-def test_estimate_importance_refuses_a_nan_epsilon(toy_weights, parity_batch):
-    with pytest.raises(ValueError, match="epsilon"):
-        estimate_importance(toy_weights, parity_batch.slice(0, 4),
-                            epsilon=np.nan)

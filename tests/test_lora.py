@@ -64,6 +64,12 @@ def test_rank_plan_validation():
         make_rank_plan([1.0, 2.0], n_high=1, rank_high=2, rank_low=4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rank_plan_refuses_a_non_finite_block_importance(value):
+    with pytest.raises(ValueError, match="block 0 is not finite"):
+        make_rank_plan([value, 0.3, 0.9], n_high=1, rank_high=8, rank_low=4)
+
+
 def test_fresh_adapters_change_no_logit(toy_weights, parity_batch):
     batch = parity_batch.slice(0, 8)
     plan = make_rank_plan([1.0, 0.5, 0.2, 0.8], n_high=2, rank_high=8, rank_low=4)

@@ -39,6 +39,14 @@ def test_keep_count_out_of_range():
         select_heads(scores, -1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_is_refused_and_named(value):
+    """A NaN sorts as neither above nor below 0.9, so it used to be kept
+    in place of the best head."""
+    with pytest.raises(ValueError, match=r"head \(0, 1\) is not finite"):
+        select_heads(np.array([[0.5, value], [0.2, 0.9]]), 2)
+
+
 def test_reference_geometry_prunes_44_heads():
     rng = np.random.default_rng(1)
     plan = select_heads(rng.random((12, 12)), 100)
